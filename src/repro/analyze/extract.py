@@ -53,6 +53,7 @@ from repro.analyze.schedule import (
     Schedule,
     SendEvent,
 )
+from repro.core.backends import Z_REDUCTIONS, resolve
 
 
 class ExtractionLimit(RuntimeError):
@@ -332,83 +333,44 @@ def solver_schedule(solver, algorithm: str = "new3d", nrhs: int = 1,
                     baseline_level_sync: bool = True,
                     rendezvous: bool = False) -> Schedule:
     """Extract the CPU solve schedule of a factored
-    :class:`~repro.core.solver.SpTRSVSolver` — same algorithm selection as
+    :class:`~repro.core.solver.SpTRSVSolver` — same backend resolution as
     ``SpTRSVSolver.solve``, zero right-hand side, no cost model."""
-    from repro.core.ca_trsm import ca_trsm_rank_fn
-    from repro.core.sptrsv3d_baseline import baseline3d_rank_fn
-    from repro.core.sptrsv3d_new import new3d_rank_fn
-
-    b_perm = np.zeros((solver.n, nrhs))
-    if algorithm == "2d":
-        if solver.grid.pz != 1:
-            raise ValueError("algorithm='2d' requires pz == 1")
-        impl = "new3d"
-    elif algorithm == "sparse_allreduce_v2":
-        impl = "new3d"
-        allreduce_impl = "sparse_v2"
-    elif algorithm == "onesided_put":
-        impl = "new3d"
-        allreduce_impl = "onesided"
-    elif algorithm in ("new3d", "baseline3d", "ca_trsm"):
-        impl = algorithm
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    if impl == "ca_trsm":
-        rank_fn = ca_trsm_rank_fn(solver._ca_trsm_setup(), b_perm, nrhs)
-    elif impl == "new3d":
-        setup = solver._new3d_setup(tree_kind or "auto")
-        rank_fn = new3d_rank_fn(setup, b_perm, nrhs,
-                                allreduce_impl=allreduce_impl)
-    else:
-        setup = solver._baseline_setup(tree_kind or "flat")
-        rank_fn = baseline3d_rank_fn(setup, b_perm, nrhs,
-                                     level_sync=baseline_level_sync)
+    run = resolve(algorithm, solver.grid, tree_kind, allreduce_impl,
+                  baseline_level_sync)
+    rank_fn = run.rank_fn(solver.setup(run.impl, run.tree_kind),
+                          np.zeros((solver.n, nrhs)), nrhs)
     grid = solver.grid
-    label = (f"{algorithm}[{allreduce_impl}]" if impl == "new3d"
-             else algorithm)
+    label = f"{run.name}[{run.z.name}]" if run.z else run.name
     return extract_schedule(
         grid.nranks, rank_fn, rendezvous=rendezvous,
         name=f"{label} px={grid.px} py={grid.py} pz={grid.pz} nrhs={nrhs}")
 
 
-def allreduce_schedule(solver, nrhs: int = 1, impl: str = "sparse",
-                       rendezvous: bool = False) -> Schedule:
-    """Extract the standalone inter-grid allreduce schedule (Algorithm 2):
-    every rank contributes zero-filled subvectors for its diagonally-owned
-    supernodes, exactly as the solve's Z phase does."""
-    from repro.core.sparse_allreduce import (
-        naive_allreduce,
-        onesided_allreduce,
-        sparse_allreduce,
-        sparse_allreduce_v2,
-        structural_nonzeros,
-    )
-
-    setup = solver._new3d_setup("auto")
-    grid, part = solver.grid, setup.part
-    fn = {"sparse": sparse_allreduce, "naive": naive_allreduce,
-          "sparse_v2": sparse_allreduce_v2,
-          "onesided": onesided_allreduce}[impl]
-    nz_sets = (structural_nonzeros(setup.lu, setup.grid_sns,
-                                   setup.sn_owner_grid)
-               if impl == "sparse_v2" else None)
+def _z_phase_schedule(setup, nrhs: int, impl: str, name: str,
+                      rendezvous: bool = False) -> Schedule:
+    """The inter-grid reduction alone: every rank contributes zero-filled
+    subvectors for its diagonally-owned supernodes, exactly as the solve's
+    Z phase does."""
+    grid, part = setup.grid, setup.part
+    reduce_z = Z_REDUCTIONS[impl].make(setup)
 
     def rank_fn(ctx: RankCtx):
         _, _, z = grid.coords_of(ctx.rank)
         cols = setup.plans_L[z].plan_of(ctx.rank).solve_cols
         values = {K: np.zeros((part.size(K), nrhs)) for K in cols}
         ctx.set_phase("z")
-        if impl == "sparse_v2":
-            yield from fn(ctx, grid, setup.layout, part, values, nz_sets,
-                          category="z")
-        else:
-            yield from fn(ctx, grid, setup.layout, part, values,
-                          category="z")
+        yield from reduce_z(ctx, values)
 
     return extract_schedule(
         grid.nranks, rank_fn, rendezvous=rendezvous,
-        name=f"{impl}_allreduce px={grid.px} py={grid.py} pz={grid.pz}")
+        name=f"{name} px={grid.px} py={grid.py} pz={grid.pz}")
+
+
+def allreduce_schedule(solver, nrhs: int = 1, impl: str = "sparse",
+                       rendezvous: bool = False) -> Schedule:
+    """Extract the standalone inter-grid allreduce schedule (Algorithm 2)."""
+    return _z_phase_schedule(solver.setup("new3d", "auto"), nrhs, impl,
+                             f"{impl}_allreduce", rendezvous)
 
 
 def _plan_bcast_schedule(plan2d, nrhs: int, u_solve: bool,
@@ -475,10 +437,8 @@ def gpu_schedules(solver, nrhs: int = 1) -> dict[str, Schedule]:
     extracted by running it under the symbolic harness — the same split
     :func:`repro.gpu.solver3d.solve_new3d_gpu` executes.
     """
-    from repro.core.sparse_allreduce import sparse_allreduce
-
-    setup = solver._new3d_setup("binary")
-    grid, part = solver.grid, setup.part
+    setup = solver.setup("new3d", "binary")
+    grid = solver.grid
     if grid.grid_size > 1 and grid.py != 1:
         raise ValueError("multi-GPU grids require Py == 1 (see repro.gpu)")
     out: dict[str, Schedule] = {}
@@ -487,17 +447,8 @@ def gpu_schedules(solver, nrhs: int = 1) -> dict[str, Schedule]:
             setup.plans_L[z], nrhs, u_solve=False,
             name=f"gpu-l grid {z} of px={grid.px} pz={grid.pz}")
 
-    def rank_fn(ctx: RankCtx):
-        _, _, z = grid.coords_of(ctx.rank)
-        cols = setup.plans_L[z].plan_of(ctx.rank).solve_cols
-        values = {K: np.zeros((part.size(K), nrhs)) for K in cols}
-        ctx.set_phase("z")
-        yield from sparse_allreduce(ctx, grid, setup.layout, part, values,
-                                    category="z")
-
-    out["gpu-allreduce"] = extract_schedule(
-        grid.nranks, rank_fn,
-        name=f"gpu-allreduce px={grid.px} py={grid.py} pz={grid.pz}")
+    out["gpu-allreduce"] = _z_phase_schedule(setup, nrhs, "sparse",
+                                             "gpu-allreduce")
     for z in range(grid.pz):
         out[f"gpu-u-grid{z}"] = _plan_bcast_schedule(
             setup.plans_U[z], nrhs, u_solve=True,

@@ -6,10 +6,12 @@ symbolic mode × device × ``nrhs`` × optional fault rates) or a *serve*
 case (workload spec × batching policy × grid).  :func:`run_case` executes
 every applicable path of the case and cross-checks them:
 
-- every distributed algorithm (``new3d``, ``baseline3d``, ``2d`` when
-  ``pz == 1``, GPU when drawn) solves to a small relative residual
-  against the right-hand side, and the sequential reference tier agrees
-  with an independent ``scipy.sparse.linalg.spsolve``;
+- every backend-table row valid on the drawn grid
+  (:data:`repro.core.backends.BACKENDS`; plus GPU when drawn) solves to a
+  small relative residual against the right-hand side, rows declaring
+  bit-identity to another row match it bit for bit, and the sequential
+  reference tier agrees with an independent
+  ``scipy.sparse.linalg.spsolve``;
 - multi-RHS solves are **bit-identical** per column to single-RHS solves
   (the serving tier's batching contract from PR 3);
 - replaying a solve reproduces **bit-identical** virtual clocks and
@@ -19,9 +21,9 @@ every applicable path of the case and cross-checks them:
   — both its recording solve and its compiled re-execution — matches the
   simulated solve bit-for-bit: solution, clocks, per-label times, marks
   and message accounting;
-- profiled runs report the paper's headline sync counts mechanically:
-  one inter-grid sync point for the proposed algorithm, ``ceil(log2 Pz)``
-  for the baseline, zero when ``Pz == 1``;
+- profiled runs report the sync count each row declares (the paper's
+  headline: one inter-grid sync point for the proposed algorithm,
+  ``ceil(log2 Pz)`` for the baseline, zero when ``Pz == 1``);
 - strict-match draws cross-check the dynamic and static ambiguity
   detectors: a ``strict_match=True`` solve either completes bit-identical
   to the normal run, or its :class:`AmbiguousRecvError` is corroborated
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -58,8 +59,8 @@ from repro.analyze import solver_schedule, verify_schedule
 from repro.comm.costmodel import MACHINES
 from repro.comm.faults import FaultPlan
 from repro.comm.simulator import AmbiguousRecvError
+from repro.core.backends import BACKENDS
 from repro.core.solver import Resilience, SpTRSVSolver
-from repro.replay import REPLAYABLE
 from repro.matrices import (
     block_tridiagonal,
     chemistry_like,
@@ -411,26 +412,28 @@ def _run_solve_case(case: FuzzCase, res: CaseResult) -> None:
     _check(res, bool(np.allclose(x_ref, x_scipy, rtol=1e-6, atol=1e-9)),
            "reference solve disagrees with scipy.sparse.linalg.spsolve")
 
-    algorithms = ["new3d", "baseline3d"] + (
-        ["2d"] if case.pz == 1 else ["onesided_put"])
-    for alg in algorithms:
-        _differential_solve(case, res, solver, A, b, alg, "cpu", machine)
-    if case.pz > 1:
-        # The one-sided reduction promises bit-identity with the two-sided
-        # hypercube, not just a small residual.
-        x_two = solver.solve(b, algorithm="new3d").x
-        x_one = solver.solve(b, algorithm="onesided_put").x
-        _check(res, bool(np.array_equal(x_two, x_one)),
-               "onesided_put solution bits differ from new3d (the "
-               "put-based reduction must be bit-identical)")
+    xs = {bk.name: _differential_solve(case, res, solver, A, b, bk, "cpu",
+                                       machine)
+          for bk in BACKENDS.values() if bk.grid_ok(solver.grid)}
+    for bk in BACKENDS.values():
+        # Declared bit-identity is a promise about solution bits, not just
+        # a small residual.
+        if bk.name in xs and bk.bit_identical_to in xs:
+            _check(res, bool(np.array_equal(xs[bk.name],
+                                            xs[bk.bit_identical_to])),
+                   f"{bk.name} solution bits differ from "
+                   f"{bk.bit_identical_to} (declared bit-identical)")
     if case.device == "gpu":
-        _differential_solve(case, res, solver, A, b, "new3d", "gpu", machine)
+        _differential_solve(case, res, solver, A, b, BACKENDS["new3d"], "gpu",
+                            machine)
     if case.faulted:
         _faulted_solve(case, res, solver, A, b)
 
 
-def _differential_solve(case, res, solver, A, b, algorithm, device,
-                        machine) -> None:
+def _differential_solve(case, res, solver, A, b, backend, device,
+                        machine) -> np.ndarray:
+    """All differential checks of one backend; returns its solution."""
+    algorithm = backend.name
     what = f"{algorithm}/{device}"
     out = solver.solve(b, algorithm=algorithm, device=device,
                        profile=True, trace=(device == "cpu"))
@@ -451,12 +454,7 @@ def _differential_solve(case, res, solver, A, b, algorithm, device,
 
     # Headline sync counts, counted mechanically from the sync labels.
     nsyncs = out.report.metrics.nsyncs
-    if case.pz == 1:
-        expect = 0
-    elif algorithm in ("new3d", "onesided_put"):
-        expect = 1
-    else:
-        expect = int(math.ceil(math.log2(case.pz)))
+    expect = backend.syncs(case.pz)
     _check(res, nsyncs == expect,
            f"{what}: {nsyncs} inter-grid sync points, expected {expect} "
            f"for pz={case.pz}")
@@ -488,7 +486,7 @@ def _differential_solve(case, res, solver, A, b, algorithm, device,
     # AND the compiled re-execution must both be bit-identical to the
     # plain simulated solve — solution bits, virtual clocks, per-label
     # times, phase marks and message accounting alike.
-    if case.replay and device == "cpu" and algorithm in REPLAYABLE:
+    if case.replay and device == "cpu" and backend.replayable:
         rec = solver.solve(b, algorithm=algorithm, replay=True)
         hot = solver.solve(b, algorithm=algorithm, replay=True)
         for tag, rout in (("recording", rec), ("compiled", hot)):
@@ -517,6 +515,7 @@ def _differential_solve(case, res, solver, A, b, algorithm, device,
             _check(res, bool(np.array_equal(X[:, j], xj)),
                    f"{what}: column {j} of nrhs={case.nrhs} differs from "
                    f"its single-RHS solve (batching not bit-identical)")
+    return out2.x
 
 
 def _faulted_solve(case, res, solver, A, b) -> None:

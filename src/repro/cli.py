@@ -61,6 +61,13 @@ import numpy as np
 
 from repro.comm.costmodel import MACHINES
 from repro.core import SpTRSVSolver
+from repro.core.backends import (
+    AUTO,
+    BACKENDS,
+    DEVICES,
+    REPLAYABLE,
+    sweep_names,
+)
 from repro.matrices import PAPER_MATRICES, get_matrix, load_matrix_market, make_rhs
 from repro.numfact import solve_residual
 from repro.perf import autotune_grid, critical_path, format_report, roofline
@@ -94,13 +101,29 @@ def _machine(name: str):
             f"available: {', '.join(sorted(MACHINES))}")
 
 
+def _solver(args, A, px: int, py: int, pz: int) -> SpTRSVSolver:
+    """Factor ``A`` as the shared problem flags (``common``) describe."""
+    return SpTRSVSolver(A, px, py, pz, machine=_machine(args.machine),
+                        max_supernode=args.max_supernode,
+                        symbolic_mode=args.symbolic)
+
+
+def _suite_names(text: str) -> list[str]:
+    """A ``--matrices`` mix: comma-separated suite matrix names."""
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    unknown = [m for m in names if m not in PAPER_MATRICES]
+    if unknown:
+        raise SystemExit(
+            f"error: unknown suite matrices {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(PAPER_MATRICES))}")
+    return names
+
+
 def cmd_solve(args) -> int:
     A = _load_matrix(args.matrix, args.scale)
     px, py, pz = _parse_grid(args.grid)
     machine = _machine(args.machine)
-    solver = SpTRSVSolver(A, px, py, pz, machine=machine,
-                          max_supernode=args.max_supernode,
-                          symbolic_mode=args.symbolic)
+    solver = _solver(args, A, px, py, pz)
     b = make_rhs(A.shape[0], args.nrhs)
     out = solver.solve(b, algorithm=args.algorithm, device=args.device,
                        tree_kind=args.tree_kind)
@@ -119,9 +142,7 @@ def cmd_profile(args) -> int:
     A = _load_matrix(args.matrix, args.scale)
     px, py, pz = _parse_grid(args.grid)
     machine = _machine(args.machine)
-    solver = SpTRSVSolver(A, px, py, pz, machine=machine,
-                          max_supernode=args.max_supernode,
-                          symbolic_mode=args.symbolic)
+    solver = _solver(args, A, px, py, pz)
     b = make_rhs(A.shape[0], args.nrhs)
     out = solver.solve(b, algorithm=args.algorithm, device=args.device,
                        tree_kind=args.tree_kind, profile=True,
@@ -164,9 +185,7 @@ def cmd_tune(args) -> int:
 def cmd_info(args) -> int:
     A = _load_matrix(args.matrix, args.scale)
     machine = _machine(args.machine)
-    solver = SpTRSVSolver(A, 1, 1, 1, machine=machine,
-                          max_supernode=args.max_supernode,
-                          symbolic_mode=args.symbolic)
+    solver = _solver(args, A, 1, 1, 1)
     from repro.matrices import matrix_fingerprint
 
     sym = solver.sym
@@ -214,10 +233,7 @@ def cmd_replay(args) -> int:
 
     A = _load_matrix(args.matrix, args.scale)
     px, py, pz = _parse_grid(args.grid)
-    machine = _machine(args.machine)
-    solver = SpTRSVSolver(A, px, py, pz, machine=machine,
-                          max_supernode=args.max_supernode,
-                          symbolic_mode=args.symbolic)
+    solver = _solver(args, A, px, py, pz)
     info = replay_info(solver, algorithm=args.algorithm,
                        tree_kind=args.tree_kind, nrhs=args.nrhs)
     print(f"replay program: {args.matrix} (scale={args.scale}), "
@@ -239,9 +255,7 @@ def cmd_replay(args) -> int:
 
     # replay_info above already compiled + recorded on `solver`; time the
     # recording path honestly on a fresh solver.
-    solver = SpTRSVSolver(A, px, py, pz, machine=machine,
-                          max_supernode=args.max_supernode,
-                          symbolic_mode=args.symbolic)
+    solver = _solver(args, A, px, py, pz)
     b = make_rhs(A.shape[0], args.nrhs)
     # The demo deliberately reports *host* wall time: the virtual clocks
     # are bit-identical either way, so wall time is the only axis where
@@ -284,12 +298,7 @@ def cmd_serve(args) -> int:
     if args.replay:
         wl = Workload.load(args.replay)
     else:
-        names = [m.strip() for m in args.matrices.split(",") if m.strip()]
-        unknown = [m for m in names if m not in PAPER_MATRICES]
-        if unknown:
-            raise SystemExit(
-                f"error: unknown suite matrices {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(PAPER_MATRICES))}")
+        names = _suite_names(args.matrices)
         spec = WorkloadSpec(seed=args.seed, rate=args.rate,
                             n_requests=args.requests,
                             mix=tuple((m, args.scale, 1.0) for m in names),
@@ -393,12 +402,7 @@ def cmd_fleet(args) -> int:
     )
 
     px, py, pz = _parse_grid(args.grid)
-    names = [m.strip() for m in args.matrices.split(",") if m.strip()]
-    unknown = [m for m in names if m not in PAPER_MATRICES]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown suite matrices {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(PAPER_MATRICES))}")
+    names = _suite_names(args.matrices)
     spec = WorkloadSpec(seed=args.seed, rate=args.rate,
                         n_requests=args.requests,
                         mix=zipf_mix(names, args.scale, s=args.zipf),
@@ -533,7 +537,6 @@ def cmd_analyze(args) -> int:
     )
 
     A = _load_matrix(args.matrix, args.scale)
-    machine = _machine(args.machine)
 
     def check(sched, expect_syncs=None) -> bool:
         rep = verify_schedule(sched)
@@ -566,41 +569,26 @@ def cmd_analyze(args) -> int:
                     print(f"      {line}")
         return ok
 
-    if args.sweep:
-        # Fig.-4-style sweep: the paper's algorithm pair across the Pz axis,
-        # plus the planner's newer backends, the 2D solver, the standalone
-        # allreduces, and the GPU dataflow.
-        configs = [(2, 2, pz, alg)
-                   for pz in (1, 2, 4)
-                   for alg in ("new3d", "baseline3d")]
-        configs.append((2, 2, 1, "2d"))
-        configs += [(2, 2, pz, alg)
-                    for pz in (2, 4)
-                    for alg in ("sparse_allreduce_v2", "ca_trsm",
-                                "onesided_put")]
-        configs.append((2, 2, 1, "ca_trsm"))
-    else:
-        px, py, pz = _parse_grid(args.grid)
-        configs = [(px, py, pz, args.algorithm)]
-
+    # --sweep: every backend-table row across the Fig.-4 Pz axis, on each
+    # grid where it is a distinct program (then the standalone allreduce
+    # and the GPU dataflow, below).
+    grids = ([(2, 2, pz) for pz in (1, 2, 4)] if args.sweep
+             else [_parse_grid(args.grid)])
     bad = 0
-    for px, py, pz, alg in configs:
-        solver = SpTRSVSolver(A, px, py, pz, machine=machine,
-                              max_supernode=args.max_supernode,
-                              symbolic_mode=args.symbolic)
-        sched = solver_schedule(solver, algorithm=alg, nrhs=args.nrhs)
-        if not check(sched, expect_syncs=expected_syncs(alg, pz)):
-            bad += 1
+    for px, py, pz in grids:
+        solver = _solver(args, A, px, py, pz)
+        algorithms = (sweep_names(solver.grid) if args.sweep
+                      else [args.algorithm])
+        for alg in algorithms:
+            sched = solver_schedule(solver, algorithm=alg, nrhs=args.nrhs)
+            if not check(sched, expect_syncs=expected_syncs(alg, pz)):
+                bad += 1
     if args.sweep:
-        solver = SpTRSVSolver(A, 2, 2, 4, machine=machine,
-                              max_supernode=args.max_supernode,
-                              symbolic_mode=args.symbolic)
+        solver = _solver(args, A, 2, 2, 4)
         if not check(allreduce_schedule(solver, nrhs=args.nrhs),
                      expect_syncs=1):
             bad += 1
-        gpu_solver = SpTRSVSolver(A, 2, 1, 2, machine=machine,
-                                  max_supernode=args.max_supernode,
-                                  symbolic_mode=args.symbolic)
+        gpu_solver = _solver(args, A, 2, 1, 2)
         for sched in gpu_schedules(gpu_solver, nrhs=args.nrhs).values():
             if not check(sched):
                 bad += 1
@@ -629,9 +617,7 @@ def cmd_planner(args) -> int:
         if not g:
             continue
         px, py, pz = _parse_grid(g)
-        solver = SpTRSVSolver(A, px, py, pz, machine=machine,
-                              max_supernode=args.max_supernode,
-                              symbolic_mode=args.symbolic)
+        solver = _solver(args, A, px, py, pz)
         d = planner.choose(solver, nrhs=args.nrhs)
         lines.append(f"{args.matrix}/{args.scale} grid {px}x{py}x{pz} "
                      f"nrhs={args.nrhs} machine={machine.name}: "
@@ -668,43 +654,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="SC'23 3D SpTRSV reproduction — solve / tune / info")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--matrix", required=True,
-                       help="suite matrix name or MatrixMarket file")
-        p.add_argument("--scale", default="small",
+    def common(p, matrix: str | None = None, scale: str = "small",
+               single: bool = True):
+        """Problem flags every subcommand shares.  ``single=False`` is for
+        the request-stream subcommands, which take a ``--matrices`` mix and
+        batch their own ``nrhs``."""
+        if single:
+            p.add_argument("--matrix", required=matrix is None,
+                           default=matrix,
+                           help="suite matrix name or MatrixMarket file")
+        p.add_argument("--scale", default=scale,
                        choices=["tiny", "small", "medium"],
                        help="suite matrix scale (ignored for files)")
         p.add_argument("--machine", default="cori-haswell",
                        help=f"one of: {', '.join(sorted(MACHINES))}")
-        p.add_argument("--nrhs", type=int, default=1)
+        if single:
+            p.add_argument("--nrhs", type=int, default=1)
         p.add_argument("--max-supernode", type=int, default=16)
         p.add_argument("--symbolic", default="detect",
                        choices=["detect", "fixed"])
 
+    def target(p, algorithms, grid: str | None = None, device: bool = False,
+               tree_kind: bool = False):
+        """What to solve with (``algorithms`` is a backend-table view) and
+        on which grid."""
+        if grid is not None:
+            p.add_argument("--grid", default=grid,
+                           help="PxxPyxPz, e.g. 2x2x4")
+        p.add_argument("--algorithm", default="new3d",
+                       choices=list(algorithms))
+        if device:
+            p.add_argument("--device", default="cpu", choices=list(DEVICES))
+        if tree_kind:
+            p.add_argument("--tree-kind", default=None,
+                           choices=["auto", "binary", "flat"])
+
+    def stream(p, requests: int, queue: str):
+        """The generated request stream and the batching policy it meets."""
+        p.add_argument("--requests", type=int, default=requests,
+                       help="number of generated requests")
+        p.add_argument("--rate", type=float, default=2000.0,
+                       help="mean arrival rate (requests per virtual second)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--deadline", type=float, default=0.1,
+                       help="relative completion budget per request "
+                            "(virtual s)")
+        p.add_argument("--max-batch", type=int, default=8,
+                       help="batch width cap (nrhs per dispatched solve)")
+        p.add_argument("--max-wait", type=float, default=1e-3,
+                       help="max age of the oldest queued request "
+                            "(virtual s)")
+        p.add_argument("--queue-bound", type=int, default=256, help=queue)
+
+    names = tuple(BACKENDS)
+    plannable = (*names, AUTO)  # where the command can hand off to the planner
+
     p = sub.add_parser("solve", help="run one distributed solve")
     common(p)
-    p.add_argument("--grid", default="1x1x1", help="PxxPyxPz, e.g. 2x2x4")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d", "2d",
-                            "sparse_allreduce_v2", "onesided_put",
-                            "ca_trsm", "auto"])
-    p.add_argument("--device", default="cpu", choices=["cpu", "gpu"])
-    p.add_argument("--tree-kind", default=None,
-                   choices=["auto", "binary", "flat"])
+    target(p, plannable, "1x1x1", device=True, tree_kind=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile",
                        help="profiled solve: per-phase metrics, inter-grid "
                             "sync points, critical path")
     common(p)
-    p.add_argument("--grid", default="1x1x1", help="PxxPyxPz, e.g. 2x2x4")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d", "2d",
-                            "sparse_allreduce_v2", "onesided_put",
-                            "ca_trsm", "auto"])
-    p.add_argument("--device", default="cpu", choices=["cpu", "gpu"])
-    p.add_argument("--tree-kind", default=None,
-                   choices=["auto", "binary", "flat"])
+    target(p, plannable, "1x1x1", device=True, tree_kind=True)
     p.add_argument("--trace", default=None, metavar="OUT.json",
                    help="also write an annotated Chrome trace (flow arrows "
                         "per message; open in chrome://tracing or Perfetto)")
@@ -713,11 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="autotune the grid shape for P ranks")
     common(p)
     p.add_argument("--ranks", type=int, required=True, help="total ranks P")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d",
-                            "sparse_allreduce_v2", "onesided_put",
-                            "ca_trsm"])
-    p.add_argument("--device", default="cpu", choices=["cpu", "gpu"])
+    target(p, names, device=True)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("info", help="pipeline and roofline statistics")
@@ -728,11 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="compile a schedule-replay program and summarize its artifacts")
     common(p)
-    p.add_argument("--grid", default="1x1x4", help="PxxPyxPz, e.g. 2x2x4")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d", "2d"])
-    p.add_argument("--tree-kind", default=None,
-                   choices=["auto", "binary", "flat"])
+    target(p, REPLAYABLE, "1x1x4", tree_kind=True)
     p.add_argument("--info", action="store_true",
                    help="print the compiled-artifact summary only (skip the "
                         "recording-vs-replay demonstration solve)")
@@ -743,35 +749,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a request workload through the batching solve service")
     p.add_argument("--matrices", default="s2D9pt2048",
                    help="comma-separated suite matrix mix (equal weights)")
-    p.add_argument("--scale", default="tiny",
-                   choices=["tiny", "small", "medium"])
-    p.add_argument("--requests", type=int, default=32,
-                   help="number of generated requests")
-    p.add_argument("--rate", type=float, default=2000.0,
-                   help="mean arrival rate (requests per virtual second)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deadline", type=float, default=0.1,
-                   help="relative completion budget per request (virtual s)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="batch width cap (nrhs per dispatched solve)")
-    p.add_argument("--max-wait", type=float, default=1e-3,
-                   help="max age of the oldest queued request (virtual s)")
-    p.add_argument("--queue-bound", type=int, default=256,
-                   help="admission-control queue depth bound")
-    p.add_argument("--grid", default="1x1x2", help="PxxPyxPz, e.g. 1x1x4")
-    p.add_argument("--machine", default="cori-haswell",
-                   help=f"one of: {', '.join(sorted(MACHINES))}")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d",
-                            "sparse_allreduce_v2", "onesided_put",
-                            "ca_trsm", "auto"])
+    common(p, scale="tiny", single=False)
+    stream(p, requests=32, queue="admission-control queue depth bound")
+    target(p, plannable, "1x1x2", device=True)
     p.add_argument("--planner", action="store_true",
                    help="let the cost-model planner pick the backend per "
                         "batch (same as --algorithm auto; CPU only)")
-    p.add_argument("--device", default="cpu", choices=["cpu", "gpu"])
-    p.add_argument("--max-supernode", type=int, default=16)
-    p.add_argument("--symbolic", default="detect",
-                   choices=["detect", "fixed"])
     p.add_argument("--drop", type=float, default=0.0,
                    help="serve over a lossy fabric: per-message drop "
                         "probability (enables the resilience envelope)")
@@ -794,15 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="s2D9pt2048,nlpkkt80,ldoor",
                    help="comma-separated suite matrix mix (Zipf weights by "
                         "listed order)")
-    p.add_argument("--scale", default="tiny",
-                   choices=["tiny", "small", "medium"])
-    p.add_argument("--requests", type=int, default=64,
-                   help="number of generated requests")
-    p.add_argument("--rate", type=float, default=2000.0,
-                   help="mean arrival rate (requests per virtual second)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deadline", type=float, default=0.1,
-                   help="relative completion budget per request (virtual s)")
+    common(p, scale="tiny", single=False)
+    stream(p, requests=64,
+           queue="per-worker admission-control queue depth bound")
     p.add_argument("--zipf", type=float, default=1.0,
                    help="Zipf skew exponent s over the matrix mix")
     p.add_argument("--bulk", action="store_true",
@@ -829,22 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="autoscaler ceiling")
     p.add_argument("--scale-period", type=float, default=2e-3,
                    help="autoscaler tick period (virtual s)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="batch width cap (nrhs per dispatched solve)")
-    p.add_argument("--max-wait", type=float, default=1e-3,
-                   help="max age of the oldest queued request (virtual s)")
-    p.add_argument("--queue-bound", type=int, default=256,
-                   help="per-worker admission-control queue depth bound")
-    p.add_argument("--grid", default="1x1x2", help="PxxPyxPz, e.g. 1x1x4")
-    p.add_argument("--machine", default="cori-haswell",
-                   help=f"one of: {', '.join(sorted(MACHINES))}")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d",
-                            "sparse_allreduce_v2", "onesided_put",
-                            "ca_trsm"])
-    p.add_argument("--max-supernode", type=int, default=16)
-    p.add_argument("--symbolic", default="detect",
-                   choices=["detect", "fixed"])
+    target(p, names, "1x1x2")
     p.add_argument("--json", action="store_true",
                    help="print the FleetReport as JSON")
     p.add_argument("--out", default=None, metavar="OUT.json",
@@ -877,22 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="statically verify communication schedules (deadlock freedom, "
              "match determinism, sync counts)")
-    p.add_argument("--matrix", default="s2D9pt2048",
-                   help="suite matrix name or MatrixMarket file")
-    p.add_argument("--scale", default="tiny",
-                   choices=["tiny", "small", "medium"],
-                   help="suite matrix scale (ignored for files)")
-    p.add_argument("--machine", default="cori-haswell",
-                   help=f"one of: {', '.join(sorted(MACHINES))}")
-    p.add_argument("--nrhs", type=int, default=1)
-    p.add_argument("--max-supernode", type=int, default=16)
-    p.add_argument("--symbolic", default="detect",
-                   choices=["detect", "fixed"])
-    p.add_argument("--grid", default="2x2x4", help="PxxPyxPz, e.g. 2x2x4")
-    p.add_argument("--algorithm", default="new3d",
-                   choices=["new3d", "baseline3d", "2d",
-                            "sparse_allreduce_v2", "onesided_put",
-                            "ca_trsm"])
+    common(p, matrix="s2D9pt2048", scale="tiny")
+    target(p, names, "2x2x4")
     p.add_argument("--sweep", action="store_true",
                    help="verify the standard sweep (every CPU backend "
                         "across Pz, the 2D solver, the standalone "
@@ -904,17 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         "planner",
         help="price every eligible backend with the cost model and print "
              "the planner's decision log for a grid sweep")
-    p.add_argument("--matrix", default="s2D9pt2048",
-                   help="suite matrix name or MatrixMarket file")
-    p.add_argument("--scale", default="tiny",
-                   choices=["tiny", "small", "medium"],
-                   help="suite matrix scale (ignored for files)")
-    p.add_argument("--machine", default="cori-haswell",
-                   help=f"one of: {', '.join(sorted(MACHINES))}")
-    p.add_argument("--nrhs", type=int, default=1)
-    p.add_argument("--max-supernode", type=int, default=16)
-    p.add_argument("--symbolic", default="detect",
-                   choices=["detect", "fixed"])
+    common(p, matrix="s2D9pt2048", scale="tiny")
     p.add_argument("--grids", default="2x2x1,2x1x2,2x2x2,1x2x4",
                    help="comma-separated PxxPyxPz list to plan over")
     p.add_argument("--out", default=None, metavar="OUT.log",

@@ -2,21 +2,13 @@
 
 Public entry point is :class:`repro.core.solver.SpTRSVSolver`, which wires
 the substrates together (ordering → symbolic → numeric LU → 3D layout →
-distributed solves) and exposes every algorithm variant of the paper:
-
-- ``algorithm="2d"``        — communication-optimized 2D SpTRSV (CSC'18);
-  equivalently ``algorithm="new3d"`` with ``Pz=1``.
-- ``algorithm="baseline3d"``— the ICS'19 communication-avoiding 3D SpTRSV
-  with per-level inter-grid synchronization.
-- ``algorithm="new3d"``     — the paper's proposed 3D SpTRSV: replicated
-  ancestor computation, one sparse allreduce between L and U solves.
-- ``algorithm="sparse_allreduce_v2"`` — the proposed 3D SpTRSV with the
-  SpComm3D-style structure-filtered allreduce (only structurally-nonzero
-  subvector blocks cross the reduce wires).
-- ``algorithm="ca_trsm"``   — communication-avoiding level-set block TRSM
-  with selective inversion over a flattened 1D rank pool.
-- ``algorithm="auto"``      — the cost-model planner (:mod:`repro.planner`)
-  picks among the CPU backends per (structure, grid, machine).
+distributed solves) and exposes every algorithm variant of the paper as
+``solve(algorithm=...)``.  The variants and everything the system knows
+about each — implementation, grid constraint, declared sync count,
+resilience fallbacks, replay/GPU capability — are the rows of the one
+backend table, :data:`repro.core.backends.BACKENDS`;
+``algorithm="auto"`` lets the cost-model planner (:mod:`repro.planner`)
+pick a row per (structure, grid, machine).
 
 GPU execution (Algorithms 4-5) lives in :mod:`repro.gpu`.
 """

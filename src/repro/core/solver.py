@@ -18,24 +18,7 @@ import scipy.sparse as sp
 from repro.comm.costmodel import CORI_HASWELL, Machine
 from repro.comm.faults import FaultPlan, ReliableTransport
 from repro.comm.simulator import Simulator, SimResult
-from repro.core.ca_trsm import (
-    CaTrsmSetup,
-    build_ca_trsm_setup,
-    ca_trsm_rank_fn,
-    collect_solution_ca,
-)
-from repro.core.sptrsv3d_baseline import (
-    Baseline3DSetup,
-    baseline3d_rank_fn,
-    build_baseline3d_setup,
-    collect_solution_baseline,
-)
-from repro.core.sptrsv3d_new import (
-    New3DSetup,
-    build_new3d_setup,
-    collect_solution,
-    new3d_rank_fn,
-)
+from repro.core.backends import AUTO, DEVICES, FAMILIES, Resolved, resolve
 from repro.grids.grid3d import Grid3D
 from repro.matrices.validate import validate_matrix, validate_rhs
 from repro.numfact.lu import lu_factorize
@@ -103,7 +86,8 @@ class Resilience:
     and, on any failure (typed communication error, kernel exception, or a
     residual above ``residual_tol``), retries the same algorithm up to
     ``retries_per_tier`` more times, then degrades through the fallback
-    tiers — ``new3d`` → ``baseline3d`` → sequential ``reference`` — until a
+    tiers the backend table declares for it (``Backend.fallback``, e.g.
+    ``new3d`` → ``baseline3d``) to the sequential ``reference`` until a
     verified answer is produced.  The returned outcome's ``.resilience``
     report names the tier that answered and the virtual-time cost of
     recovery.
@@ -297,25 +281,15 @@ class SpTRSVSolver:
 
     # -- setup caches ---------------------------------------------------------
 
-    def _new3d_setup(self, tree_kind: str) -> New3DSetup:
-        key = ("new3d", tree_kind)
+    def setup(self, impl: str, tree_kind: str | None = None):
+        """The cached solve setup (plans, trees) of one implementation
+        family — a :data:`repro.core.backends.FAMILIES` name — per tree
+        kind."""
+        key = (impl, tree_kind)
         if key not in self._setups:
-            self._setups[key] = build_new3d_setup(self.lu, self.layout,
-                                                  self.grid, tree_kind)
-        return self._setups[key]  # type: ignore[return-value]
-
-    def _baseline_setup(self, tree_kind: str) -> Baseline3DSetup:
-        key = ("baseline3d", tree_kind)
-        if key not in self._setups:
-            self._setups[key] = build_baseline3d_setup(self.lu, self.layout,
-                                                       self.grid, tree_kind)
-        return self._setups[key]  # type: ignore[return-value]
-
-    def _ca_trsm_setup(self) -> CaTrsmSetup:
-        key = ("ca_trsm",)
-        if key not in self._setups:
-            self._setups[key] = build_ca_trsm_setup(self.lu, self.grid)
-        return self._setups[key]  # type: ignore[return-value]
+            self._setups[key] = FAMILIES[impl].build(self.lu, self.layout,
+                                                   self.grid, tree_kind)
+        return self._setups[key]
 
     # -- solving --------------------------------------------------------------
 
@@ -330,19 +304,13 @@ class SpTRSVSolver:
               replay: bool = False) -> SolveOutcome:
         """Solve ``A x = b``; ``b`` may be ``(n,)`` or ``(n, nrhs)``.
 
-        ``algorithm``: ``"new3d"`` (proposed; adaptive "auto" trees),
-        ``"baseline3d"`` (ICS'19, default flat communication), ``"2d"``
-        (requires ``pz == 1``; the CSC'18 2D solver, which is exactly the
-        proposed algorithm on a single grid), ``"sparse_allreduce_v2"``
-        (the proposed algorithm with the SpComm3D-style structure-filtered
-        allreduce), ``"onesided_put"`` (the proposed algorithm with a
-        put-based one-sided inter-grid reduction — one RMA epoch per solve,
-        bit-identical to ``"new3d"``; certified race-free by
-        :mod:`repro.analyze.rma`), ``"ca_trsm"`` (communication-avoiding
-        level-set block TRSM with selective inversion), or ``"auto"`` (the cost-model
-        planner of :mod:`repro.planner` picks among the CPU backends and
-        the solve then proceeds bit-identically to naming that backend
-        directly).
+        ``algorithm`` names a row of the backend table
+        (:data:`repro.core.backends.BACKENDS` — what each one runs, where
+        it is valid, its sync count, fallbacks and capabilities are all
+        declared there; default ``"new3d"``, the paper's proposed solver),
+        or ``"auto"``: the cost-model planner of :mod:`repro.planner` picks
+        among the CPU backends and the solve then proceeds bit-identically
+        to naming that backend directly.
 
         ``device="gpu"`` runs the proposed algorithm with GPU 2D solves
         (Algorithms 4-5); requires a machine with a GPU model and, for
@@ -389,7 +357,10 @@ class SpTRSVSolver:
         b_perm = b2[self.perm]
         machine = machine or self.machine
 
-        if algorithm == "auto":
+        if device not in DEVICES:
+            raise ValueError(f"unknown device {device!r}; "
+                             f"known: {', '.join(DEVICES)}")
+        if algorithm == AUTO:
             if device != "cpu":
                 raise ValueError(
                     "algorithm='auto' plans over the CPU backends only "
@@ -400,6 +371,8 @@ class SpTRSVSolver:
                                                machine=machine).algorithm
             # From here on the solve is indistinguishable from the caller
             # having passed the planned algorithm directly.
+        run = resolve(algorithm, self.grid, tree_kind, allreduce_impl,
+                      baseline_level_sync)
 
         if device != "cpu" and strict_match:
             raise ValueError(
@@ -425,9 +398,8 @@ class SpTRSVSolver:
                     "simulated path")
             from repro.replay import replay_solve
 
-            return replay_solve(self, b_perm, nrhs, was1d, algorithm,
-                                tree_kind, machine, baseline_level_sync,
-                                allreduce_impl, profile)
+            return replay_solve(self, run, b_perm, nrhs, was1d, machine,
+                                profile)
 
         metrics = MetricsRegistry() if profile else None
         if resilience is not None and strict_match:
@@ -435,96 +407,46 @@ class SpTRSVSolver:
                 "strict_match is a debugging mode; combining it with "
                 "resilience would mask AmbiguousRecvError as a tier failure")
         if resilience is not None:
-            return self._solve_resilient(b2, was1d, algorithm, tree_kind,
-                                         machine, baseline_level_sync,
-                                         allreduce_impl, faults, resilience,
-                                         metrics=metrics, trace=trace)
+            return self._solve_resilient(run, b2, was1d, machine, faults,
+                                         resilience, metrics=metrics,
+                                         trace=trace)
 
         if device == "gpu":
-            if algorithm not in ("new3d", "2d"):
+            if not run.backend.gpu:
                 raise ValueError(
-                    "GPU solves implement the proposed algorithm only "
-                    "(algorithm='new3d', or '2d' with pz == 1)")
-            if algorithm == "2d" and self.grid.pz != 1:
-                raise ValueError("algorithm='2d' requires pz == 1")
+                    f"GPU solves implement the proposed algorithm only; "
+                    f"algorithm={run.name!r} has no GPU path")
             from repro.gpu.solver3d import solve_new3d_gpu
 
-            setup = self._new3d_setup(tree_kind or "binary")
+            setup = self.setup(run.impl, tree_kind or "binary")
             gres = solve_new3d_gpu(setup, machine, b_perm, nrhs,
                                    metrics=metrics)
-            x_perm = collect_solution(setup, gres.results, self.n, nrhs)
+            x_perm = run.backend.family.collect(setup, gres.results, self.n,
+                                               nrhs)
             x = np.empty_like(x_perm)
             x[self.perm] = x_perm
-            report = PerfReport(sim=gres.sim, algorithm=f"{algorithm}-gpu",
-                                grid=self.grid, nrhs=nrhs, metrics=metrics)
-            return SolveOutcome(x=x[:, 0] if was1d else x, report=report)
-        if device != "cpu":
-            raise ValueError(f"unknown device {device!r}")
-
-        sim_kwargs: dict = {}
-        if metrics is not None:
-            sim_kwargs["metrics"] = metrics
-        if trace:
-            sim_kwargs["trace"] = True
-        if strict_match:
-            sim_kwargs["strict_match"] = True
-        x, res = self._solve_cpu(b_perm, nrhs, algorithm, tree_kind,
-                                 machine, baseline_level_sync,
-                                 allreduce_impl, faults,
-                                 sim_kwargs=sim_kwargs or None)
-        report = PerfReport(sim=res, algorithm=algorithm, grid=self.grid,
+            res, label = gres.sim, f"{run.name}-gpu"
+        else:
+            x, res = self._solve_cpu(
+                run, b_perm, nrhs, machine, faults,
+                {"metrics": metrics, "trace": trace,
+                 "strict_match": strict_match})
+            label = run.name
+        report = PerfReport(sim=res, algorithm=label, grid=self.grid,
                             nrhs=nrhs, metrics=metrics)
         return SolveOutcome(x=x[:, 0] if was1d else x, report=report)
 
-    def _solve_cpu(self, b_perm: np.ndarray, nrhs: int, algorithm: str,
-                   tree_kind: str | None, machine: Machine,
-                   baseline_level_sync: bool, allreduce_impl: str,
-                   faults: FaultPlan | None = None,
+    def _solve_cpu(self, run: Resolved, b_perm: np.ndarray, nrhs: int,
+                   machine: Machine, faults: FaultPlan | None = None,
                    sim_kwargs: dict | None = None
                    ) -> tuple[np.ndarray, SimResult]:
         """One distributed CPU solve; returns ``(x, sim_result)`` with ``x``
         already mapped back to the original ordering."""
-        kwargs = dict(sim_kwargs or {})
-        if faults is not None:
-            kwargs["faults"] = faults
-        sim = Simulator(self.grid.nranks, machine, **kwargs)
-
-        if algorithm == "2d":
-            if self.grid.pz != 1:
-                raise ValueError("algorithm='2d' requires pz == 1")
-            algorithm_impl = "new3d"
-        elif algorithm == "sparse_allreduce_v2":
-            # The proposed algorithm with the structure-filtered allreduce.
-            algorithm_impl = "new3d"
-            allreduce_impl = "sparse_v2"
-        elif algorithm == "onesided_put":
-            # Put-based inter-grid reduction: one RMA epoch per solve,
-            # bit-identical to new3d's hypercube (see onesided_allreduce).
-            algorithm_impl = "new3d"
-            allreduce_impl = "onesided"
-        elif algorithm in ("new3d", "baseline3d", "ca_trsm"):
-            algorithm_impl = algorithm
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-
-        if algorithm_impl == "ca_trsm":
-            ca_setup = self._ca_trsm_setup()
-            res = sim.run(ca_trsm_rank_fn(ca_setup, b_perm, nrhs))
-            x_perm = collect_solution_ca(ca_setup, res.results, self.n, nrhs)
-        elif algorithm_impl == "new3d":
-            kind = tree_kind or "auto"
-            setup = self._new3d_setup(kind)
-            res = sim.run(new3d_rank_fn(setup, b_perm, nrhs,
-                                        allreduce_impl=allreduce_impl))
-            x_perm = collect_solution(setup, res.results, self.n, nrhs)
-        else:
-            kind = tree_kind or "flat"
-            setup = self._baseline_setup(kind)
-            res = sim.run(baseline3d_rank_fn(setup, b_perm, nrhs,
-                                             level_sync=baseline_level_sync))
-            x_perm = collect_solution_baseline(setup, res.results, self.n,
-                                               nrhs)
-
+        sim = Simulator(self.grid.nranks, machine, faults=faults,
+                        **(sim_kwargs or {}))
+        setup = self.setup(run.impl, run.tree_kind)
+        res = sim.run(run.rank_fn(setup, b_perm, nrhs))
+        x_perm = run.backend.family.collect(setup, res.results, self.n, nrhs)
         x = np.empty_like(x_perm)
         x[self.perm] = x_perm
         return x, res
@@ -544,46 +466,29 @@ class SpTRSVSolver:
         return PerfReport(sim=sim, algorithm="reference", grid=self.grid,
                           nrhs=nrhs)
 
-    def _solve_resilient(self, b2: np.ndarray, was1d: bool, algorithm: str,
-                         tree_kind: str | None, machine: Machine,
-                         baseline_level_sync: bool, allreduce_impl: str,
-                         faults: FaultPlan | None,
+    def _solve_resilient(self, run: Resolved, b2: np.ndarray, was1d: bool,
+                         machine: Machine, faults: FaultPlan | None,
                          resilience: Resilience,
                          metrics: MetricsRegistry | None = None,
                          trace: bool = False) -> SolveOutcome:
         """Verified solve with retries and tier fallback (the recovery side
         of the fault model: detect via typed errors + residuals, recover via
-        retry, degrade new-3D → baseline-3D → sequential reference)."""
+        retry, degrade through the backend's declared fallback tiers to the
+        sequential reference)."""
         from repro.numfact import solve_residual
-
-        if algorithm == "new3d":
-            tiers = ["new3d", "baseline3d"]
-        elif algorithm == "sparse_allreduce_v2":
-            tiers = ["sparse_allreduce_v2", "baseline3d"]
-        elif algorithm == "onesided_put":
-            # RMA primitives refuse to run under injected faults (no typed
-            # recovery story for half-applied epochs), so a faulty run falls
-            # back to the two-sided tiers below.
-            tiers = ["onesided_put", "new3d", "baseline3d"]
-        elif algorithm in ("baseline3d", "2d", "ca_trsm"):
-            tiers = [algorithm]
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
 
         nrhs = b2.shape[1]
         b_perm = b2[self.perm]
-        sim_kwargs = resilience.sim_kwargs()
         # The registry resets on every attempt's run, so after the loop it
         # describes the attempt that produced the answer.
-        if metrics is not None:
-            sim_kwargs["metrics"] = metrics
-        if trace:
-            sim_kwargs["trace"] = True
+        sim_kwargs = {**resilience.sim_kwargs(), "metrics": metrics,
+                      "trace": trace}
         attempts: list[AttemptRecord] = []
         recovery = 0.0
         attempt_idx = 0
 
-        for tier in tiers:
+        for tier_run in (run, *run.fallback):
+            tier = tier_run.name
             for retry in range(resilience.retries_per_tier + 1):
                 # Attempt 0 runs the caller's plan verbatim; retries draw
                 # independent (but seed-deterministic) fault schedules.
@@ -593,9 +498,8 @@ class SpTRSVSolver:
                         attempt_idx)
                 attempt_idx += 1
                 try:
-                    x, res = self._solve_cpu(b_perm, nrhs, tier, tree_kind,
-                                             machine, baseline_level_sync,
-                                             allreduce_impl, plan, sim_kwargs)
+                    x, res = self._solve_cpu(tier_run, b_perm, nrhs, machine,
+                                             plan, sim_kwargs)
                 except Exception as e:  # typed comm errors + kernel fallout
                     vt = float(getattr(e, "sim_time", 0.0))
                     recovery += vt

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.comm.simulator import RankCtx
 from repro.core.plan2d import Plan2D, build_2d_plans, u_blockrows
-from repro.core.sparse_allreduce import sparse_allreduce
 from repro.core.sptrsv2d import sptrsv_2d
 from repro.grids.grid3d import BlockCyclicMap, Grid3D
 from repro.numfact.lu import BlockSparseLU
@@ -97,15 +96,12 @@ def new3d_rank_fn(setup: New3DSetup, b_perm: np.ndarray, nrhs: int,
     (the solve phase is what the paper times; RHS staging is preprocessing).
     Each rank returns its diagonally-owned solution subvectors.
     """
+    # Imported here: the backend table imports this module's builders.
+    from repro.core.backends import Z_REDUCTIONS
+
     grid = setup.grid
     part = setup.part
-    nz_sets: list[set[int]] | None = None
-    if allreduce_impl == "sparse_v2":
-        from repro.core.sparse_allreduce import structural_nonzeros
-
-        # Shared symbolic structure, computed once for all ranks.
-        nz_sets = structural_nonzeros(setup.lu, setup.grid_sns,
-                                      setup.sn_owner_grid)
+    reduce_z = Z_REDUCTIONS[allreduce_impl].make(setup)
 
     def rank_fn(ctx: RankCtx):
         _, _, z = grid.coords_of(ctx.rank)
@@ -136,26 +132,7 @@ def new3d_rank_fn(setup: New3DSetup, b_perm: np.ndarray, nrhs: int,
         # reports exactly one sync point here (MetricsRegistry.nsyncs == 1)
         # vs the baseline's ceil(log2(Pz)) "level-k" points.
         ctx.set_phase("z")
-        if allreduce_impl == "sparse":
-            yield from sparse_allreduce(ctx, grid, setup.layout, part, y,
-                                        category="z")
-        elif allreduce_impl == "sparse_v2":
-            from repro.core.sparse_allreduce import sparse_allreduce_v2
-
-            yield from sparse_allreduce_v2(ctx, grid, setup.layout, part, y,
-                                           nz_sets, category="z")
-        elif allreduce_impl == "naive":
-            from repro.core.sparse_allreduce import naive_allreduce
-
-            yield from naive_allreduce(ctx, grid, setup.layout, part, y,
-                                       category="z")
-        elif allreduce_impl == "onesided":
-            from repro.core.sparse_allreduce import onesided_allreduce
-
-            yield from onesided_allreduce(ctx, grid, setup.layout, part, y,
-                                          category="z")
-        else:
-            raise ValueError(f"unknown allreduce_impl {allreduce_impl!r}")
+        yield from reduce_z(ctx, y)
         ctx.mark("z_end")
 
         ctx.set_phase("u")

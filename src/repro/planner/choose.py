@@ -5,16 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.comm.costmodel import Machine
+from repro.core.backends import planner_candidates
 from repro.planner.cost import predict_time
 
 
 def candidates(solver) -> list[str]:
     """CPU backends eligible for ``solver``'s grid shape, in the fixed
-    order ties break toward (paper-preferred first)."""
-    if solver.grid.pz == 1:
-        return ["2d", "ca_trsm"]
-    return ["new3d", "baseline3d", "sparse_allreduce_v2", "onesided_put",
-            "ca_trsm"]
+    order ties break toward (the backend table's row order)."""
+    return planner_candidates(solver.grid)
 
 
 @dataclass

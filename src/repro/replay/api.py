@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.backends import REPLAYABLE, Resolved, resolve
 from repro.obs.metrics import MetricsRegistry
 from repro.replay.program import ValueProgram, compile_program
 from repro.replay.tape import Tape, TapeRecorder, from_recorder, validate_tape
@@ -33,12 +34,6 @@ from repro.replay.tape import Tape, TapeRecorder, from_recorder, validate_tape
 
 class ReplayError(ValueError):
     """The requested solve cannot take the replay fast path."""
-
-
-#: Algorithms the schedule compiler supports.  The zoo backends
-#: (``sparse_allreduce_v2``, ``ca_trsm``) always take the simulator —
-#: the serving tier consults this tuple before enabling its fast path.
-REPLAYABLE = ("2d", "new3d", "baseline3d")
 
 
 class ReplayMismatch(AssertionError):
@@ -82,21 +77,6 @@ def replay_state(solver) -> ReplayState:
     return st
 
 
-def _resolve(solver, algorithm: str, tree_kind: str | None) -> tuple[str, str]:
-    """Mirror ``SpTRSVSolver._solve_cpu``'s algorithm/tree resolution."""
-    if algorithm == "2d":
-        if solver.grid.pz != 1:
-            raise ValueError("algorithm='2d' requires pz == 1")
-        return "new3d", tree_kind or "auto"
-    if algorithm == "new3d":
-        return "new3d", tree_kind or "auto"
-    if algorithm == "baseline3d":
-        return "baseline3d", tree_kind or "flat"
-    raise ReplayError(
-        f"replay does not support algorithm {algorithm!r}; the schedule "
-        f"compiler covers {REPLAYABLE} — solve without replay=True")
-
-
 def _copy_result(base):
     """Fresh SimResult so callers (e.g. ``solve_blocked``'s clock shift)
     can never mutate the cached template."""
@@ -110,16 +90,8 @@ def _copy_result(base):
                      results=[None] * len(base.results))
 
 
-def _setup_for(solver, impl: str, kind: str):
-    if impl == "new3d":
-        return solver._new3d_setup(kind)
-    return solver._baseline_setup(kind)
-
-
-def replay_solve(solver, b_perm: np.ndarray, nrhs: int, was1d: bool,
-                 algorithm: str, tree_kind: str | None, machine,
-                 baseline_level_sync: bool, allreduce_impl: str,
-                 profile: bool):
+def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
+                 was1d: bool, machine, profile: bool):
     """The ``solve(replay=True)`` path; returns a ``SolveOutcome``.
 
     Cache miss: run the instrumented simulation (the answer the caller
@@ -128,23 +100,27 @@ def replay_solve(solver, b_perm: np.ndarray, nrhs: int, was1d: bool,
     """
     from repro.core.solver import PerfReport, SolveOutcome
 
-    impl, kind = _resolve(solver, algorithm, tree_kind)
-    if impl == "new3d" and allreduce_impl != "sparse":
+    if not run.backend.replayable:
+        raise ReplayError(
+            f"replay does not support algorithm {run.name!r}; the schedule "
+            f"compiler covers {REPLAYABLE} — solve without replay=True")
+    if run.z is not None and not run.z.replayable:
         raise ReplayError(
             "replay compiles the sparse allreduce only "
             "(allreduce_impl='sparse'); the naive ablation stays on the "
             "simulator")
+    algorithm, impl, kind = run.name, run.impl, run.tree_kind
     st = replay_state(solver)
 
     pkey = (impl, kind)
     prog = st.programs.get(pkey)
     if prog is None:
-        prog = compile_program(_setup_for(solver, impl, kind), impl, kind,
+        prog = compile_program(solver.setup(impl, kind), impl, kind,
                                solver.n)
         st.programs[pkey] = prog
         st.stats.compiles += 1
 
-    tkey = (impl, kind, bool(baseline_level_sync), machine.name, nrhs)
+    tkey = (impl, kind, run.level_sync, machine.name, nrhs)
     ct = st.tapes.get(tkey)
     if ct is None:
         # Cold: one recording run.  Metrics are always attached so hot
@@ -153,8 +129,7 @@ def replay_solve(solver, b_perm: np.ndarray, nrhs: int, was1d: bool,
         reg = MetricsRegistry()
         rec = TapeRecorder(solver.grid.nranks)
         x, res = solver._solve_cpu(
-            b_perm, nrhs, algorithm, tree_kind, machine,
-            baseline_level_sync, allreduce_impl,
+            run, b_perm, nrhs, machine,
             sim_kwargs={"metrics": reg, "recorder": rec})
         tape = from_recorder(rec, machine)
         validate_tape(tape, res)
@@ -193,15 +168,16 @@ def replay_info(solver, algorithm: str = "new3d",
     ones) if the tape is not cached yet.
     """
     machine = machine or solver.machine
-    impl, kind = _resolve(solver, algorithm, tree_kind)
+    run = resolve(algorithm, solver.grid, tree_kind,
+                  level_sync=baseline_level_sync)
+    impl, kind = run.impl, run.tree_kind
     b = np.ones((solver.n, nrhs))
     solver.solve(b, algorithm=algorithm, tree_kind=tree_kind,
                  machine=machine, baseline_level_sync=baseline_level_sync,
                  replay=True)
     st = replay_state(solver)
     prog = st.programs[(impl, kind)]
-    ct = st.tapes[(impl, kind, bool(baseline_level_sync), machine.name,
-                   nrhs)]
+    ct = st.tapes[(impl, kind, run.level_sync, machine.name, nrhs)]
     return {
         "algorithm": algorithm,
         "impl": impl,

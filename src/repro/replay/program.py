@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.backends import FAMILIES
 from repro.core.sparse_allreduce import _my_sns, ancestor_supernodes
 from repro.core.sptrsv3d_baseline import Baseline3DSetup, _my_diag_sns
 from repro.core.sptrsv3d_new import New3DSetup
@@ -65,7 +66,7 @@ class CompileError(RuntimeError):
 class ValueProgram:
     """A compiled, machine- and nrhs-independent solve."""
 
-    impl: str                      # "new3d" | "baseline3d"
+    impl: str                      # a repro.core.backends.FAMILIES name
     tree_kind: str
     n: int                         # rows of the permuted solution
     nregs: int
@@ -665,12 +666,10 @@ def compile_program(setup, impl: str, tree_kind: str, n: int) -> ValueProgram:
     ``setup`` is a :class:`New3DSetup` or :class:`Baseline3DSetup` (already
     built and cached by the solver); ``n`` is the matrix order.
     """
+    compile_values = FAMILIES[impl].compile_values
+    if compile_values is None:
+        raise CompileError(f"no value-program compiler for impl {impl!r}")
     em = _Emitter()
-    if impl == "new3d":
-        _compile_new3d(em, setup, n)
-    elif impl == "baseline3d":
-        _compile_baseline3d(em, setup, n)
-    else:
-        raise CompileError(f"unknown impl {impl!r}")
+    compile_values(em, setup, n)
     return ValueProgram(impl=impl, tree_kind=tree_kind, n=n,
                         nregs=em.nregs, instrs=em.instrs, consts=em.consts)

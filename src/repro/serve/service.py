@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.comm.costmodel import MACHINES
 from repro.comm.faults import FaultPlan, FaultSchedule
+from repro.core.backends import is_replayable
 from repro.core.solver import Resilience, SpTRSVSolver
 from repro.matrices import (
     InvalidMatrixError,
@@ -420,13 +421,13 @@ class SolveService:
         # solver's compiled schedule (bit-identical answers and virtual
         # clocks by construction; see repro.replay).  The first batch of a
         # given shape records — a normal simulated solve — so misses,
-        # faulted/resilient batches, and backends outside the schedule
-        # compiler's coverage (REPLAYABLE) always take the simulator.
+        # faulted/resilient batches, and backends the table does not flag
+        # replayable always take the simulator.
         replays_before = 0
-        from repro.replay import REPLAYABLE, replay_state
+        from repro.replay import replay_state
 
         if (self.config.replay and hit and self.config.device == "cpu"
-                and algorithm in REPLAYABLE
+                and is_replayable(algorithm)
                 and "faults" not in kw and self.resilience is None):
             kw["replay"] = True
             replays_before = replay_state(solver).stats.replays

@@ -62,20 +62,6 @@ def test_sparse_allreduce_v2_bit_identical_to_new3d(A, grid):
     assert np.array_equal(x_v2, x_ref)
 
 
-@pytest.mark.parametrize("algorithm,syncs", [
-    ("ca_trsm", 0),
-    ("sparse_allreduce_v2", 1),
-])
-def test_new_backend_schedules_certify(A, algorithm, syncs):
-    from repro.analyze import expected_syncs, solver_schedule, verify_schedule
-
-    solver = make_solver(A, (2, 1, 2))
-    sched = solver_schedule(solver, algorithm=algorithm, nrhs=1)
-    rep = verify_schedule(sched)
-    assert rep.ok
-    assert rep.nsyncs == syncs == expected_syncs(algorithm, 2)
-
-
 # -- static pricing ----------------------------------------------------------
 
 @pytest.mark.parametrize("grid", [(2, 1, 2), (2, 2, 2)])

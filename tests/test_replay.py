@@ -99,7 +99,7 @@ def test_replay_columns_match_single_rhs():
 
 def test_vector_executor_matches_interpreter():
     s = make_solver(2, 1, 4)
-    prog = compile_program(s._new3d_setup("auto"), "new3d", "auto", s.n)
+    prog = compile_program(s.setup("new3d", "auto"), "new3d", "auto", s.n)
     rng = np.random.default_rng(5)
     for nrhs in (1, 5):
         bp = rng.standard_normal((s.n, nrhs))
@@ -224,7 +224,7 @@ def test_small_poisson_replay_all_algorithms():
 
 def test_vector_plan_arena_covers_all_registers():
     s = make_solver(1, 1, 2)
-    prog = compile_program(s._new3d_setup("auto"), "new3d", "auto", s.n)
+    prog = compile_program(s.setup("new3d", "auto"), "new3d", "auto", s.n)
     vp = _VectorPlan(prog)
     assert vp.size > 0
     assert len(vp.store_d) == s.n        # every row of x written exactly once

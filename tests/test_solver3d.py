@@ -110,7 +110,7 @@ def test_replicated_ancestors_agree_across_grids(A_poisson):
     from repro.grids import BlockCyclicMap
 
     solver = SpTRSVSolver(A_poisson, 1, 1, 4, max_supernode=8)
-    setup = solver._new3d_setup("binary")
+    setup = solver.setup("new3d", "binary")
     b = make_rhs(A_poisson.shape[0], 1)[solver.perm]
     res = Simulator(solver.grid.nranks, CORI_HASWELL).run(
         new3d_rank_fn(setup, b, 1))

@@ -59,7 +59,7 @@ def test_gpu3d_start_offsets_respected():
     A = get_matrix("s2D9pt2048", "tiny")
     s = SpTRSVSolver(A, 1, 1, 2, max_supernode=8, machine=PERLMUTTER_GPU,
                      symbolic_mode="fixed")
-    setup = s._new3d_setup("binary")
+    setup = s.setup("new3d", "binary")
     b = make_rhs(A.shape[0], 1)[s.perm]
     res = solve_new3d_gpu(setup, PERLMUTTER_GPU, b, 1)
     for r in range(2):

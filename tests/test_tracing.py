@@ -68,7 +68,7 @@ def test_solver_trace_integration():
 
     A = poisson2d(10, stencil=9, seed=2)
     s = SpTRSVSolver(A, 2, 1, 2, max_supernode=8)
-    setup = s._new3d_setup("auto")
+    setup = s.setup("new3d", "auto")
     b = make_rhs(A.shape[0], 1)[s.perm]
     res = Simulator(s.grid.nranks, CORI_HASWELL, trace=True).run(
         new3d_rank_fn(setup, b, 1))
