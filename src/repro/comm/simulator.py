@@ -29,12 +29,12 @@ which case the simulation is bit-identical to the lossless runtime.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
 
 import numpy as np
 
+from repro.comm.costmodel import gemm_bytes, gemm_flops
 from repro.comm.faults import (
     ChecksumError,
     CommFaultError,
@@ -355,8 +355,6 @@ class RankCtx:
 
     def gemm(self, m: int, n: int, k: int, category: str = "fp") -> _ComputeOp:
         """Convenience: a dense m×k @ k×n on this rank's CPU model."""
-        from repro.comm.costmodel import gemm_bytes, gemm_flops
-
         fl = gemm_flops(m, n, k)
         nb = gemm_bytes(m, n, k)
         t = self.machine.cpu.op_time(fl, nb)
@@ -621,6 +619,14 @@ class Simulator:
         deadline: list[float | None] = [None] * n
         results: list[Any] = [None] * n
         mailbox: list[list[_Message]] = [[] for _ in range(n)]
+        # Scheduling cache: each rank's key and matched message index (or
+        # _TIMEOUT), recomputed only for ranks in ``dirty`` — those whose
+        # state, pending receive or mailbox changed since the last event.
+        inf = float("inf")
+        idle = (inf, inf, n)            # sorts after every real key
+        keys = [idle] * n
+        matched: list[int | None] = [None] * n
+        dirty = set(range(n))
         seq = 0
         events = 0
         started = [False] * n
@@ -687,6 +693,23 @@ class Simulator:
                 if best_key is None or key < best_key:
                     best, best_key = i, key
             return best
+
+        def refresh(r: int) -> None:
+            """Recompute rank r's scheduling key; a finished, fenced or
+            unmatched rank without a deadline is not a candidate."""
+            keys[r] = idle
+            if state[r] == _READY:
+                keys[r] = (ctxs[r].clock, 0.0, r)
+            elif state[r] == _RECV:
+                matched[r] = midx = match(r)
+                if midx is not None:
+                    m = mailbox[r][midx]
+                    keys[r] = (max(ctxs[r].clock, m.arrival), m.arrival, r)
+                elif deadline[r] is not None:
+                    # No message can beat the deadline: any rank able to
+                    # send earlier has a smaller key and runs first.
+                    keys[r] = (deadline[r], inf, r)
+                    matched[r] = _TIMEOUT
 
         def mailbox_summary(r: int) -> str:
             """One rank's wait + pending-mailbox state, for error reports."""
@@ -823,6 +846,7 @@ class Simulator:
                     raise finalize_error(e)
                 value = None
                 if isinstance(op, _SendOp):
+                    dirty.add(op.dst)
                     t0 = ctx.clock
                     ctx.clock += net.send_overhead
                     ctx._charge(op.category, net.send_overhead)
@@ -833,8 +857,7 @@ class Simulator:
                     lat = net.latency(op.nbytes, same)
                     msg_seq = None
                     if fstate is None and transport is None:
-                        heapq.heappush(
-                            mailbox[op.dst],
+                        mailbox[op.dst].append(
                             _Message(ctx.clock + lat, seq, r, op.tag,
                                      _copy_payload(op.payload), op.nbytes))
                         msg_seq = seq
@@ -851,15 +874,13 @@ class Simulator:
                         deliver, arrival, d = transmit(r, op, payload, lat,
                                                        ctx)
                         if deliver:
-                            heapq.heappush(
-                                mailbox[op.dst],
+                            mailbox[op.dst].append(
                                 _Message(arrival, seq, r, op.tag, payload,
                                          op.nbytes, csum))
                             msg_seq = seq
                             seq += 1
                             if d is not None and d.duplicate:
-                                heapq.heappush(
-                                    mailbox[op.dst],
+                                mailbox[op.dst].append(
                                     _Message(arrival + lat, seq, r, op.tag,
                                              _copy_payload(payload),
                                              op.nbytes, csum))
@@ -1027,30 +1048,11 @@ class Simulator:
         while True:
             if wd is not None and events - wd_progress > wd:
                 raise stall_error()
-            best_rank = -1
-            best_key = None
-            best_msg_idx = None
-            for r in range(n):
-                if state[r] == _DONE:
-                    continue
-                if state[r] == _READY:
-                    key = (ctxs[r].clock, 0.0, r)
-                    midx = None
-                else:  # _RECV
-                    midx = match(r)
-                    if midx is None:
-                        if deadline[r] is None:
-                            continue
-                        # No message can beat the deadline: any rank able to
-                        # send earlier has a smaller key and runs first.
-                        key = (deadline[r], float("inf"), r)
-                        midx = _TIMEOUT
-                    else:
-                        m = mailbox[r][midx]
-                        key = (max(ctxs[r].clock, m.arrival), m.arrival, r)
-                if best_key is None or key < best_key:
-                    best_rank, best_key, best_msg_idx = r, key, midx
-            if best_rank < 0:
+            for r in dirty:
+                refresh(r)
+            dirty.clear()
+            r = min(keys)[2]
+            if r == n:
                 blocked = [r for r in range(n) if state[r] != _DONE]
                 if not blocked:
                     break
@@ -1070,6 +1072,7 @@ class Simulator:
                     apply_writes(writes)
                     epoch_applied.clear()
                     so, ro = net.send_overhead, net.recv_overhead
+                    dirty.update(fencing)
                     for r in fencing:
                         ctx = ctxs[r]
                         fop = pending_fence[r]
@@ -1098,10 +1101,10 @@ class Simulator:
                     f"{len(blocked)} rank(s) blocked with no matching "
                     f"messages{crash_note}:\n  {detail}{more}"))
 
-            r = best_rank
+            dirty.add(r)    # every branch below resumes rank r
             if state[r] == _READY:
                 advance(r, None)
-            elif best_msg_idx == _TIMEOUT:
+            elif matched[r] == _TIMEOUT:
                 spec = pending_recv[r]
                 ctx = ctxs[r]
                 t0 = ctx.clock
@@ -1143,8 +1146,7 @@ class Simulator:
                         advance(r, None, exc=AmbiguousRecvError(
                             r, spec.tag, sorted(srcs)))
                         continue
-                m = mailbox[r].pop(best_msg_idx)
-                heapq.heapify(mailbox[r])
+                m = mailbox[r].pop(matched[r])
                 ctx = ctxs[r]
                 ro = net.recv_overhead
                 t0 = ctx.clock
@@ -1231,4 +1233,3 @@ class Simulator:
         if newest is not None and second is not None:
             box[newest].arrival, box[second].arrival = \
                 box[second].arrival, box[newest].arrival
-            heapq.heapify(box)

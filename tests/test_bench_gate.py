@@ -7,12 +7,20 @@ import os
 
 import pytest
 
-_TOOL = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tools", "check_bench_regression.py")
-_spec = importlib.util.spec_from_file_location("check_bench_regression",
-                                               _TOOL)
-gate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gate)
+_TOOLS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools")
+_TOOL = os.path.join(_TOOLS, "check_bench_regression.py")
+
+
+def _load(path):
+    name = os.path.splitext(os.path.basename(path))[0]
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = _load(_TOOL)
 
 
 BASE = {
@@ -111,3 +119,47 @@ def test_checked_in_planner_artifact_passes_against_itself():
     bench = os.path.join(os.path.dirname(_TOOL), os.pardir,
                          "BENCH_planner.json")
     assert gate.main([_TOOL, bench, bench]) == 0
+
+
+# -- tools/hostbench_pairs.py: the paired-run verdict (choosing-metrics §8) ----
+
+pairs = _load(os.path.join(_TOOLS, "hostbench_pairs.py"))
+
+PARENT = [4.3, 4.7, 4.5, 4.4, 4.6, 4.5, 4.2, 4.8, 4.5, 4.4]
+
+
+def test_pairs_gain_needs_nine_wins_and_a_gap_beyond_parent_quartiles():
+    change = [3 * p for p in PARENT]
+    assert pairs.verdict(PARENT, change, "higher", 0.25) == ("gain", 10)
+    # Lower-is-better metrics flip the direction.
+    assert pairs.verdict(change, PARENT, "lower", 0.25) == ("gain", 10)
+    # Nine wins of ten still count, eight do not.
+    change[0] = 1.0
+    assert pairs.verdict(PARENT, change, "higher", 0.25) == ("gain", 9)
+    change[1] = 1.0
+    assert pairs.verdict(PARENT, change, "higher", 0.25)[0] != "gain"
+    # Every pair won, but by less than the parent's own quartile distance.
+    nudged = [p + 0.01 for p in PARENT]
+    assert pairs.verdict(PARENT, nudged, "higher", 0.25) == ("no worse", 10)
+
+
+def test_pairs_ties_count_for_neither_side():
+    assert pairs.verdict(PARENT, PARENT, "higher", 0.25) == ("no worse", 0)
+
+
+def test_pairs_regression_beyond_bound():
+    slow = [0.7 * p for p in PARENT]
+    assert pairs.verdict(PARENT, slow, "higher", 0.25) == ("REGRESSED", 0)
+    assert pairs.verdict(PARENT, slow, "higher", 0.35) == ("no worse", 0)
+    grown = [1.2 * p for p in PARENT]
+    assert pairs.verdict(PARENT, grown, "lower", 0.1) == ("REGRESSED", 0)
+
+
+def test_pairs_noisy_parent_is_unresolved_not_unchanged():
+    noisy = [2.0, 6.0, 3.0, 5.0, 2.5, 5.5, 3.5, 4.5, 2.2, 5.8]
+    same = [4.0] * 10
+    assert pairs.verdict(noisy, same, "higher", 0.25)[0] == "unresolved"
+    # ... unless every run of the change beats every run of the parent.
+    clear = [6.5] * 10
+    assert pairs.verdict(noisy, clear, "higher", 0.25)[0] in ("gain",
+                                                              "no worse")

@@ -58,6 +58,29 @@ def test_put_fence_read_roundtrip():
     check_sim(res)
 
 
+def test_fenced_rank_with_queued_message_is_not_a_recv_candidate():
+    """A rank parked at a fence while an eager message already sits in its
+    mailbox used to crash the scheduler (it matched a receive that was
+    never posted); it must wait for the fence and receive afterwards."""
+    def fn(ctx):
+        if ctx.rank == 0:
+            yield ctx.send(1, np.arange(3.0), tag="x")
+            yield ctx.fence()
+        else:
+            yield ctx.compute(1.0)
+            yield ctx.fence()
+            after_fence = ctx.clock
+            _, _, got = yield ctx.recv(src=0, tag="x")
+            return after_fence, got
+
+    res = run(2, fn)
+    after_fence, got = res.results[1]
+    assert np.array_equal(got, np.arange(3.0))
+    assert 1.0 < after_fence < res.clocks[1]
+    assert res.unconsumed_msgs == []
+    check_sim(res)
+
+
 def test_put_flush_read():
     def fn(ctx):
         if ctx.rank == 0:

@@ -1,9 +1,22 @@
 """Unit tests for the discrete-event message-passing simulator."""
 
+import dataclasses
+import hashlib
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
-from repro.comm import ANY, CORI_HASWELL, DeadlockError, Simulator
+from repro.comm import (
+    ANY,
+    CORI_HASWELL,
+    DeadlockError,
+    FaultPlan,
+    RecvTimeout,
+    Simulator,
+)
 
 
 MACHINE = CORI_HASWELL
@@ -364,3 +377,144 @@ def test_solver_strict_match_kwarg():
     assert np.array_equal(out.report.sim.clocks, ref.report.sim.clocks)
     with pytest.raises(ValueError, match="strict_match"):
         solver.solve(b, device="gpu", strict_match=True)
+
+
+# -- scheduler equivalence, pinned across commits ------------------------------
+#
+# tests/corpus/sim_digests.json holds a SHA-256 of everything the scheduler
+# decides (clocks, label tables, marks, the trace in event order, fault
+# events, crashes, leftovers) for a fixed set of runs.  It was generated by
+# the full-rescan scheduler of PR 16 and is recomputed here, so a scheduler
+# change is proven event-for-event identical, not just clock-identical.
+# Solution values are left out on purpose: the digests must not depend on
+# the host's BLAS.  Regenerate (only for an intended behaviour change) with
+# ``PYTHONPATH=src python -m tests.test_simulator``.
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "corpus",
+                       "sim_digests.json")
+
+
+def _digest(res=None, err=None):
+    h = hashlib.sha256()
+    if err is not None:
+        # Scrubbed: predicate-tag addresses, and the payload CRCs a checksum
+        # mismatch prints (BLAS bits).
+        h.update(repr((type(err).__name__,
+                       re.sub(r"0x[0-9a-f]+", "0x", str(err)), err.sim_time,
+                       [dataclasses.astuple(e) for e in err.fault_events]
+                       )).encode())
+        return h.hexdigest()
+    h.update(res.clocks.tobytes())
+    h.update(repr((
+        [sorted(d.items()) for d in res.times],
+        [sorted(d.items()) for d in res.sent_msgs],
+        [sorted(d.items()) for d in res.sent_bytes],
+        [sorted(d.items()) for d in res.marks],
+        [(e.rank, e.t0, e.t1, e.kind, e.phase, e.category, e.detail)
+         for e in res.trace or ()],
+        [dataclasses.astuple(e) for e in res.fault_events or ()],
+        res.crashed,
+        [dataclasses.astuple(m) for m in res.unconsumed_msgs],
+    )).encode())
+    return h.hexdigest()
+
+
+def _outcome(sim, fn):
+    try:
+        return _digest(sim.run(fn))
+    except Exception as e:
+        return _digest(err=e)
+
+
+def _timeout_program(ctx):
+    """Deadlines that lose to a message, tie with one, and expire."""
+    if ctx.rank == 0:
+        got = []
+        for timeout in (5.0, 1.0, 0.25):
+            try:
+                got.append((yield ctx.recv(src=ANY, tag=lambda t: t[0] == "d",
+                                           timeout=timeout))[1])
+            except RecvTimeout:
+                got.append("timeout")
+        yield ctx.send(1, np.zeros(2), tag="go")
+        _ = yield ctx.recv(src=1, tag=("d", 9))
+        return got
+    if ctx.rank == 1:
+        yield ctx.compute(0.5)
+        yield ctx.send(0, np.ones(3), tag=("d", 1))
+        _ = yield ctx.recv(src=0, tag="go", timeout=10.0)
+        yield ctx.send(0, np.ones(1), tag=("d", 9))
+    else:
+        yield ctx.compute(1.5)
+        yield ctx.send(0, np.ones(4), tag=("d", 2))
+
+
+def _racy_program(ctx):
+    if ctx.rank == 0:
+        yield ctx.compute(1.0)
+        for _ in range(2):
+            yield ctx.recv(src=ANY, tag=lambda t: t == "m")
+    else:
+        yield ctx.send(0, np.zeros(1), tag="m")
+
+
+def _lossy_program(ctx):
+    """Wildcard-tag fan-in that tolerates duplicates and reordering."""
+    if ctx.rank == 0:
+        total = 0.0
+        for _ in range(3 * (ctx.nranks - 1)):
+            _, _, v = yield ctx.recv(src=ANY, tag=lambda t: t[0] == "v")
+            total += float(v[0])
+        return total
+    for i in range(3):
+        yield ctx.compute(0.01 * ctx.rank)
+        yield ctx.send(0, np.full(2, float(i)), tag=("v", i))
+
+
+def sim_digests():
+    from repro.core.backends import BACKENDS, resolve
+    from repro.core.solver import SpTRSVSolver
+    from repro.matrices import make_rhs, poisson2d
+
+    A = poisson2d(10, stencil=9, seed=3)
+    solvers = {g: SpTRSVSolver(A, *g, max_supernode=8)
+               for g in ((2, 2, 1), (2, 1, 4))}
+    b = make_rhs(A.shape[0], 2, kind="random", seed=5)
+
+    def solve(name, faults=None, **sim_kw):
+        solver = solvers[(2, 2, 1) if name == "2d" else (2, 1, 4)]
+        run = resolve(name, solver.grid)
+        sim = Simulator(solver.grid.nranks, solver.machine, trace=True,
+                        faults=faults, **sim_kw)
+        setup = solver.setup(run.impl, run.tree_kind)
+        return _outcome(sim, run.rank_fn(setup, b[solver.perm], 2))
+
+    out = {f"backend/{name}": solve(name) for name in BACKENDS}
+    out["new3d/lossy-reliable"] = solve(
+        "new3d", FaultPlan.uniform(seed=11, drop=0.15, duplicate=0.15,
+                                   reorder=0.15, delay=0.2), reliable=True)
+    out["new3d/corrupt-checksums"] = solve(
+        "new3d", FaultPlan.uniform(seed=14, corrupt=0.02), checksums=True)
+    out["new3d/crash"] = solve("new3d", FaultPlan(seed=13, crash={1: 2e-5}))
+    out["program/strict-ambiguous"] = _outcome(
+        Simulator(3, MACHINE, trace=True, strict_match=True), _racy_program)
+    out["program/recv-timeout"] = _outcome(
+        Simulator(3, MACHINE, trace=True), _timeout_program)
+    out["program/dup-reorder"] = _outcome(
+        Simulator(4, MACHINE, trace=True,
+                  faults=FaultPlan.uniform(seed=15, duplicate=0.4,
+                                           reorder=0.4, delay=0.3)),
+        _lossy_program)
+    return out
+
+
+def test_scheduler_digests_match_pinned_corpus():
+    with open(DIGESTS) as f:
+        pinned = json.load(f)
+    assert sim_digests() == pinned
+
+
+if __name__ == "__main__":
+    with open(DIGESTS, "w") as f:
+        json.dump(sim_digests(), f, indent=1, sort_keys=True)
+        f.write("\n")
