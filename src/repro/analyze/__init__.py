@@ -27,6 +27,7 @@ happened to produce.
 
 from repro.analyze.extract import (
     ExtractionLimit,
+    ScheduleDerivationError,
     allreduce_schedule,
     extract_schedule,
     gpu_schedules,
@@ -75,6 +76,7 @@ __all__ = [
     "ReadEvent",
     "RecvEvent",
     "Schedule",
+    "ScheduleDerivationError",
     "SendEvent",
     "VerifyReport",
     "allreduce_schedule",

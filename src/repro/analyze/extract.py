@@ -28,6 +28,7 @@ Two send semantics are supported:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Iterable
 
 import numpy as np
@@ -327,23 +328,100 @@ def extract_schedule(nranks: int, rank_fn: Callable[[RankCtx], Iterable],
 # -- solver targets ----------------------------------------------------------
 
 
+class ScheduleDerivationError(RuntimeError):
+    """Two extracted widths do not determine a third exactly: the event
+    skeleton moved with ``nrhs``, or a size is not integer-affine in it."""
+
+
+_AFFINE = frozenset(("nbytes", "pre_flops", "pre_bytes", "pre_ops"))
+
+
+def _affine(a, b, w1: int, w2: int, w: int):
+    """The value at ``w`` on the line through ``(w1, a)`` and ``(w2, b)``,
+    in integer arithmetic; raises unless that is exact."""
+    if a == b:
+        return a
+    ia, ib = int(a), int(b)
+    q, rem = divmod((w - w1) * (ib - ia), w2 - w1)
+    if rem or ia != a or ib != b:
+        raise ScheduleDerivationError(
+            f"{a!r} at nrhs={w1} and {b!r} at nrhs={w2} give no exact "
+            f"integer at nrhs={w}")
+    return type(a)(ia + q)
+
+
+def derive_schedule(widths: dict[int, Schedule], nrhs: int,
+                    name: str = "") -> Schedule:
+    """The schedule at ``nrhs`` from two extracted at other widths.
+
+    Extraction is untimed and no rank program branches on ``nrhs``, so
+    everything but the sizes (``nbytes``, ``pre_*``, ``compute_tails``) is
+    width-independent and the sizes are integers affine in ``nrhs``.  Both
+    are checked event by event and a breach raises — nothing is
+    re-extracted.  Predicate tags are the first width's closures."""
+    (w1, s1), (w2, s2) = widths.items()
+
+    def moved(x: str, y: str) -> ScheduleDerivationError:
+        return ScheduleDerivationError(
+            f"event skeleton depends on nrhs: {x} at nrhs={w1} vs {y} at "
+            f"nrhs={w2}")
+
+    def shape(s: Schedule):
+        return (s.nranks, s.complete, s.blocked_recvs, s.blocked_sends,
+                s.blocked_fences, s.rendezvous, len(s.compute_tails),
+                [[type(e) for e in evs] for evs in s.events])
+
+    if shape(s1) != shape(s2):
+        raise moved(s1.summary(), s2.summary())
+    events = []
+    for evs1, evs2 in zip(s1.events, s2.events):
+        out = []
+        for a, b in zip(evs1, evs2):
+            fields, other = dict(vars(a)), vars(b)
+            for k, va in fields.items():
+                vb = other[k]
+                if k in _AFFINE:
+                    fields[k] = _affine(va, vb, w1, w2, nrhs)
+                elif va != vb and not (callable(va) and callable(vb)):
+                    raise moved(f"{a.describe()} with {k}={va!r}",
+                                f"{b.describe()} with {k}={vb!r}")
+            out.append(type(a)(**fields))
+        events.append(out)
+    tails = [tuple(_affine(x, y, w1, w2, nrhs) for x, y in zip(t1, t2))
+             for t1, t2 in zip(s1.compute_tails, s2.compute_tails)]
+    return dataclasses.replace(s1, events=events, compute_tails=tails,
+                               name=name)
+
+
 def solver_schedule(solver, algorithm: str = "new3d", nrhs: int = 1,
                     tree_kind: str | None = None,
                     allreduce_impl: str = "sparse",
                     baseline_level_sync: bool = True,
                     rendezvous: bool = False) -> Schedule:
-    """Extract the CPU solve schedule of a factored
+    """The CPU solve schedule of a factored
     :class:`~repro.core.solver.SpTRSVSolver` — same backend resolution as
-    ``SpTRSVSolver.solve``, zero right-hand side, no cost model."""
+    ``SpTRSVSolver.solve``, zero right-hand side, no cost model.
+
+    Schedules are structure-only, so the solver keeps them: per resolved
+    backend and ``rendezvous`` the first two widths asked for are extracted
+    and retained, every further width is derived from those two exactly
+    (:func:`derive_schedule`) and not retained.  Callers share the returned
+    object: it is read-only."""
     run = resolve(algorithm, solver.grid, tree_kind, allreduce_impl,
                   baseline_level_sync)
-    rank_fn = run.rank_fn(solver.setup(run.impl, run.tree_kind),
-                          np.zeros((solver.n, nrhs)), nrhs)
     grid = solver.grid
     label = f"{run.name}[{run.z.name}]" if run.z else run.name
-    return extract_schedule(
-        grid.nranks, rank_fn, rendezvous=rendezvous,
-        name=f"{label} px={grid.px} py={grid.py} pz={grid.pz} nrhs={nrhs}")
+    name = f"{label} px={grid.px} py={grid.py} pz={grid.pz} nrhs={nrhs}"
+    widths = solver.__dict__.setdefault("_schedules", {}).setdefault(
+        (run, rendezvous), {})
+    if nrhs not in widths:
+        if len(widths) == 2:
+            return derive_schedule(widths, nrhs, name)
+        rank_fn = run.rank_fn(solver.setup(run.impl, run.tree_kind),
+                              np.zeros((solver.n, nrhs)), nrhs)
+        widths[nrhs] = extract_schedule(grid.nranks, rank_fn,
+                                        rendezvous=rendezvous, name=name)
+    return widths[nrhs]
 
 
 def _z_phase_schedule(setup, nrhs: int, impl: str, name: str,

@@ -75,9 +75,10 @@ class Planner:
         hit = self._decisions.get(key)
         if hit is not None:
             return hit
+        order = candidates(solver)
         preds = {alg: predict_time(solver, alg, nrhs, machine)
-                 for alg in candidates(solver)}
-        best = min(preds, key=lambda a: (preds[a], candidates(solver).index(a)))
+                 for alg in order}
+        best = min(preds, key=lambda a: (preds[a], order.index(a)))
         d = Decision(key=key, algorithm=best, predicted=preds)
         self._decisions[key] = d
         return d

@@ -136,9 +136,11 @@ def predict_time(solver, algorithm: str, nrhs: int = 1,
                  machine: Machine | None = None) -> float:
     """Predicted virtual solve time of ``algorithm`` on ``solver``.
 
-    Extraction is symbolic (zero RHS, zero-cost machine) and reuses the
-    solver's setup caches, so repeated predictions over the same solver
-    pay the kernel sweep once per (algorithm, nrhs).
+    The schedule comes from the solver's own store
+    (:func:`repro.analyze.extract.solver_schedule`): per backend the rank
+    programs are driven for the first two widths asked for and every
+    other width is derived from those exactly, so re-pricing on another
+    machine or at another ``nrhs`` extracts nothing.
     """
     from repro.analyze.extract import solver_schedule
 

@@ -32,6 +32,30 @@ def build_problem(A: sp.spmatrix, pz: int = 4, max_supernode: int = 8,
             "sym": sym, "lu": lu}
 
 
+def fresh_store(solver):
+    """A solver on the same pipeline and grid whose schedule store is empty
+    (``repro.analyze.extract.solver_schedule`` keeps schedules per solver)."""
+    from repro.core import SpTRSVSolver
+
+    g = solver.grid
+    return SpTRSVSolver.from_pipeline(solver.A, solver.tree, solver.sym,
+                                      solver.lu, g.px, g.py, g.pz)
+
+
+def schedule_fields(sched):
+    """Everything a ``Schedule`` says, typed (a float is not the int it
+    equals).  Predicate ``tag_spec`` closures compare as "a predicate":
+    each extraction makes its own."""
+    def typed(v):
+        return "predicate" if callable(v) else (type(v), v)
+
+    return (sched.name, sched.nranks, sched.complete, sched.rendezvous,
+            sched.blocked_recvs, sched.blocked_sends, sched.blocked_fences,
+            [[typed(x) for x in tail] for tail in sched.compute_tails],
+            [[(type(e), *map(typed, vars(e).values())) for e in evs]
+             for evs in sched.events])
+
+
 @pytest.fixture(scope="session")
 def poisson_problem():
     """24x24 2D 9-point Poisson, Pz-ready to 8 grids."""

@@ -8,6 +8,8 @@ match-deterministic, and with the paper's sync counts recovered statically
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,16 @@ from repro.analyze import (
     extract_schedule,
     gpu_schedules,
     solver_schedule,
+    verify_rma,
     verify_schedule,
 )
+from repro.comm.costmodel import CORI_HASWELL
 from repro.comm.simulator import ANY
+from repro.core.backends import BACKENDS
 from repro.core.solver import SpTRSVSolver
 from repro.matrices import poisson2d
+from repro.planner import schedule_time
+from tests.conftest import fresh_store, schedule_fields
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +277,87 @@ def test_schedule_summary_roundtrip(solver224):
     sched = solver_schedule(solver224, algorithm="new3d")
     s = verify_schedule(sched).summary()
     assert "certified" in s and "new3d" in s and "1 sync point(s)" in s
+
+
+# ---------------------------------------------------------------------------
+# The per-solver schedule store: one extraction, many readers.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", list(BACKENDS))
+def test_readers_leave_a_stored_schedule_unchanged(solver224, algorithm):
+    if not BACKENDS[algorithm].grid_ok(solver224.grid):
+        return
+    sched = solver_schedule(solver224, algorithm=algorithm, nrhs=2)
+    # Functions are atomic to deepcopy, so predicate tags keep identity and
+    # dataclass equality is exact.
+    before = copy.deepcopy(sched)
+    verify_schedule(sched)
+    verify_rma(sched)
+    schedule_time(sched, CORI_HASWELL)
+    sched.summary()
+    assert sched == before
+    assert solver_schedule(solver224, algorithm=algorithm, nrhs=2) is sched
+
+
+@pytest.mark.parametrize("algorithm,change", [
+    ("new3d", dict(algorithm="baseline3d")),
+    ("new3d", dict(tree_kind="binary")),
+    ("new3d", dict(allreduce_impl="naive")),
+    ("baseline3d", dict(baseline_level_sync=False)),
+    ("new3d", dict(rendezvous=True)),
+], ids=lambda v: v if isinstance(v, str) else ",".join(v))
+def test_store_key_covers_every_option(solver224, algorithm, change):
+    solver = fresh_store(solver224)
+    base = solver_schedule(solver, algorithm=algorithm, nrhs=2)
+    assert solver_schedule(solver, algorithm=algorithm, nrhs=2) is base
+    options = {"algorithm": algorithm, **change}
+    other = solver_schedule(solver, nrhs=2, **options)
+    assert other is not base
+    assert solver_schedule(solver, nrhs=2, **options) is other
+    # What the store hands out under these options is what extracting
+    # under these options gives — never a neighbour's entry.
+    assert schedule_fields(other) == schedule_fields(
+        solver_schedule(fresh_store(solver224), nrhs=2, **options))
+    assert solver_schedule(solver, algorithm=algorithm, nrhs=2) is base
+
+
+def test_store_shares_options_that_resolve_identically(solver224):
+    """The key is the resolved backend: baseline3d has no Z reduction, so
+    ``allreduce_impl`` cannot split its entry."""
+    solver = fresh_store(solver224)
+    assert (solver_schedule(solver, algorithm="baseline3d",
+                            allreduce_impl="naive")
+            is solver_schedule(solver, algorithm="baseline3d"))
+
+
+def _plain(value) -> bool:
+    """A scalar, a string, ANY, or tuples of those — nothing that can keep
+    a payload alive."""
+    if isinstance(value, tuple):
+        return all(_plain(v) for v in value)
+    return value is None or value is ANY or isinstance(
+        value, (bool, int, float, str))
+
+
+@pytest.mark.parametrize("algorithm", list(BACKENDS))
+def test_stored_schedule_keeps_no_payload_alive(solver224, algorithm):
+    """The store outlives the extraction, so an event that referenced its
+    zero-filled payload — directly or through a predicate tag's closure —
+    would pin ``n x nrhs`` floats per message for the solver's lifetime."""
+    if not BACKENDS[algorithm].grid_ok(solver224.grid):
+        return
+    sched = solver_schedule(solver224, algorithm=algorithm, nrhs=2)
+    predicates = 0
+    for ev in (e for evs in sched.events for e in evs):
+        for name, value in vars(ev).items():
+            if callable(value):
+                assert name == "tag_spec"
+                predicates += 1
+                cells = [c.cell_contents for c in value.__closure__ or ()]
+                assert all(_plain(c) for c in cells), (ev.describe(), cells)
+            else:
+                assert _plain(value), (ev.describe(), name, value)
+    assert all(_plain(t) for t in sched.compute_tails)
+    # The 2D kernel's salted predicate is the one callable tag there is.
+    assert predicates > 0 or BACKENDS[algorithm].family.name == "ca_trsm"

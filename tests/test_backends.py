@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analyze import expected_syncs, solver_schedule, verify_schedule
+from repro.analyze import (
+    ScheduleDerivationError,
+    expected_syncs,
+    extract_schedule,
+    solver_schedule,
+    verify_schedule,
+)
+from repro.analyze.extract import derive_schedule
 from repro.cli import build_parser
 from repro.core import Resilience, SpTRSVSolver
 from repro.core.backends import (
@@ -33,6 +40,7 @@ from repro.matrices import make_rhs, poisson2d
 from repro.numfact import solve_residual
 from repro.planner import candidates
 from repro.replay import REPLAYABLE, ReplayError
+from tests.conftest import fresh_store, schedule_fields
 
 GRIDS = [(2, 2, 1), (1, 1, 2), (2, 1, 4)]
 CELLS = [pytest.param(g, b, id=f"{'x'.join(map(str, g))}-{b.name}")
@@ -94,6 +102,68 @@ def test_replayable_flag_is_the_replay_contract(solvers, b, grid, backend):
     hot = solver.solve(b, algorithm=backend.name, replay=True)
     assert np.array_equal(hot.x, sim.x)
     assert np.array_equal(hot.report.sim.clocks, sim.report.sim.clocks)
+
+
+@pytest.mark.parametrize("bases", [(1, 2), (5, 2)], ids=str)
+@pytest.mark.parametrize("rendezvous", [False, True],
+                         ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("grid,backend", CELLS)
+def test_derived_widths_equal_fresh_extractions(solvers, grid, backend,
+                                                rendezvous, bases):
+    """The solver's store extracts two widths and derives the rest; a
+    derived schedule is a fresh extraction, field for field."""
+    if not backend.grid_ok(solvers[grid].grid):
+        return
+    kw = dict(algorithm=backend.name, rendezvous=rendezvous)
+    store = fresh_store(solvers[grid])
+    extracted = [solver_schedule(store, nrhs=w, **kw) for w in bases]
+    for w in (3, 4, 16):
+        derived = solver_schedule(store, nrhs=w, **kw)
+        fresh = solver_schedule(fresh_store(solvers[grid]), nrhs=w, **kw)
+        assert schedule_fields(derived) == schedule_fields(fresh)
+        rep = verify_schedule(derived)
+        assert rep.summary() == verify_schedule(fresh).summary()
+        if not rendezvous:
+            assert rep.ok
+            assert rep.nsyncs == expected_syncs(backend.name,
+                                                store.grid.pz)
+        # Derived widths are handed out, not retained: the two extracted
+        # ones are still what the store serves.
+        assert solver_schedule(store, nrhs=w, **kw) is not derived
+    assert all(solver_schedule(store, nrhs=w, **kw) is kept
+               for w, kept in zip(bases, extracted))
+
+
+def test_derivation_refuses_a_program_that_branches_on_nrhs():
+    """One message per column: the skeleton moves with the width, so two
+    widths determine nothing — a typed error, never a guess."""
+
+    def program(nrhs):
+        def fn(ctx):
+            for j in range(nrhs):
+                if ctx.rank == 0:
+                    yield ctx.send(1, np.zeros(3), tag=("col", j))
+                else:
+                    yield ctx.recv(src=0, tag=("col", j))
+        return fn
+
+    widths = {w: extract_schedule(2, program(w)) for w in (1, 2)}
+    with pytest.raises(ScheduleDerivationError, match="depends on nrhs"):
+        derive_schedule(widths, 3)
+
+    def paired(nrhs):
+        def fn(ctx):
+            if ctx.rank == 0:
+                yield ctx.send(1, np.zeros((nrhs + 1) // 2), tag="pairs")
+            else:
+                yield ctx.recv(src=0, tag="pairs")
+        return fn
+
+    # Same skeleton at every width, but 8 B at width 1 and 16 B at width 4
+    # put 10.67 B at width 2: sizes that are not integer-affine are refused.
+    widths = {w: extract_schedule(2, paired(w)) for w in (1, 4)}
+    with pytest.raises(ScheduleDerivationError, match="no exact integer"):
+        derive_schedule(widths, 2)
 
 
 def test_rows_reference_only_rows():

@@ -163,3 +163,20 @@ def test_pairs_noisy_parent_is_unresolved_not_unchanged():
     clear = [6.5] * 10
     assert pairs.verdict(noisy, clear, "higher", 0.25)[0] in ("gain",
                                                               "no worse")
+
+
+def test_pairs_exact_rows_fail_unless_declared_beforehand():
+    name = "util.matmul_columns.calls@static_plan"
+    assert pairs.exact_row(name, 108940, 108940) == (None, False)
+    line, failed = pairs.exact_row(name, 108940, 54470)
+    assert failed and "CHANGED (exact)" in line
+    line, failed = pairs.exact_row(name, 108940, 54470, declared=[name])
+    assert not failed
+    assert line == f"{name}: moved (declared) 108940 -> 54470"
+    # Declaring one row excuses no other: not the same metric on another
+    # workload, not another metric on the same workload.
+    for other in ("util.matmul_columns.calls@serve_auto",
+                  "virtual_time_s@static_plan"):
+        assert pairs.exact_row(other, 1.0, 2.0, declared=[name])[1]
+    # A declared row that did not move is simply equal.
+    assert pairs.exact_row(name, 7, 7, declared=[name]) == (None, False)

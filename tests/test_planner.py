@@ -10,11 +10,13 @@ cliff-adjacent machine point, and the serving-tier integration.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.comm.costmodel import CORI_HASWELL
+from repro.comm.costmodel import CORI_HASWELL, MACHINES
 from repro.core import SpTRSVSolver
 from repro.matrices import get_matrix, make_rhs
 from repro.planner import (
@@ -112,6 +114,46 @@ def test_decision_cache_hits(A):
     # A different batch width is a different problem.
     d3 = planner.choose(solver, nrhs=3)
     assert d3 is not d1
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Backend name of every schedule whose rank programs were driven."""
+    from repro.analyze import extract
+
+    names = []
+
+    def counting(*args, name, **kwargs):
+        names.append(name.split()[0].split("[")[0])
+        return real(*args, name=name, **kwargs)
+
+    real = extract.extract_schedule
+    monkeypatch.setattr(extract, "extract_schedule", counting)
+    return names
+
+
+def test_six_widths_cost_two_extractions_per_candidate(A, extractions):
+    solver = make_solver(A, (2, 1, 2))
+    planner = Planner()
+    for nrhs in (4, 1, 2, 3, 6, 16):
+        planner.choose(solver, nrhs=nrhs)
+    assert len(planner.decisions()) == 6
+    assert sorted(extractions) == sorted(2 * candidates(solver))
+
+
+def test_repricing_on_another_machine_extracts_nothing(A, extractions):
+    solver = make_solver(A, (2, 1, 2))
+    planner = Planner()
+    d = planner.choose(solver, nrhs=4)
+    assert len(extractions) == len(candidates(solver))
+    del extractions[:]
+    other = planner.choose(solver, nrhs=4, machine=MACHINES["perlmutter-cpu"])
+    assert extractions == []
+    assert other is not d and other.predicted != d.predicted
+    fresh = make_solver(A, (2, 1, 2))
+    assert other.predicted == {
+        alg: predict_time(fresh, alg, 4, MACHINES["perlmutter-cpu"])
+        for alg in candidates(fresh)}
 
 
 @pytest.mark.parametrize("grid", [(2, 2, 1), (2, 1, 2), (1, 2, 4)])
@@ -280,3 +322,68 @@ def test_cli_planner_log_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
     assert "pick " in out1.read_text()
+
+
+# -- predictions pinned across commits -----------------------------------------
+#
+# tests/corpus/planner_decisions.json holds every candidate's predict_time as
+# float.hex(), each from a fresh solver, so every pinned value was priced on
+# a schedule the extractor really drove at that width.  It was generated at
+# PR 21, before solvers kept their schedules.  The test recomputes the table
+# on ONE solver per (matrix, grid), in two width orders, so every width after
+# the second is derived from the first two — a systematic drift in the
+# derivation cannot hide behind "two runs of one commit agree".  Regenerate
+# (only for an intended model change) with
+# ``PYTHONPATH=src python -m tests.test_planner``.
+
+DECISIONS = os.path.join(os.path.dirname(__file__), "corpus",
+                         "planner_decisions.json")
+PIN_MATRICES = ("s2D9pt2048", "nlpkkt80", "ldoor")
+PIN_GRIDS = ((2, 2, 1), (2, 1, 2), (2, 2, 2), (1, 2, 4), (1, 1, 4))
+PIN_WIDTHS = (1, 2, 3, 4, 6, 16)
+PIN_MACHINES = ("cori-haswell", "perlmutter-cpu")
+
+
+def _pin_pipeline(name):
+    A = get_matrix(name, scale="tiny")
+    s = SpTRSVSolver(A, 1, 1, 4, max_supernode=8)
+    return A, s.tree, s.sym, s.lu
+
+
+def _pin_predictions(solver, name, grid, nrhs):
+    at = f"{name} {'x'.join(map(str, grid))} nrhs={nrhs}"
+    return {f"{at} {m}": {
+                alg: predict_time(solver, alg, nrhs, MACHINES[m]).hex()
+                for alg in candidates(solver)}
+            for m in PIN_MACHINES}
+
+
+def planner_decisions():
+    out = {}
+    for name in PIN_MATRICES:
+        pipe = _pin_pipeline(name)
+        for grid in PIN_GRIDS:
+            for nrhs in PIN_WIDTHS:
+                fresh = SpTRSVSolver.from_pipeline(*pipe, *grid)
+                out.update(_pin_predictions(fresh, name, grid, nrhs))
+    return out
+
+
+@pytest.mark.parametrize("name", PIN_MATRICES)
+def test_predictions_match_pinned_corpus_in_any_width_order(name):
+    with open(DECISIONS) as f:
+        pinned = json.load(f)
+    pipe = _pin_pipeline(name)
+    for order in (PIN_WIDTHS, (16,) + PIN_WIDTHS[:-1]):
+        for grid in PIN_GRIDS:
+            solver = SpTRSVSolver.from_pipeline(*pipe, *grid)
+            for nrhs in order:
+                for key, preds in _pin_predictions(solver, name, grid,
+                                                   nrhs).items():
+                    assert preds == pinned[key], (key, order)
+
+
+if __name__ == "__main__":
+    with open(DECISIONS, "w") as f:
+        json.dump(planner_decisions(), f, indent=1, sort_keys=True)
+        f.write("\n")

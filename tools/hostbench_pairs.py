@@ -1,6 +1,7 @@
 """Measure a host-clock change as alternating parent/change pairs.
 
     python3 tools/hostbench_pairs.py PARENT_REF [--pairs 10] [--workload W ...]
+        [--declared METRIC@WORKLOAD ...]
 
 The procedure ROADMAP's ground rules and the choosing-metrics guide (§6,
 §8) demand, as one command.  ``PARENT_REF`` is exported with ``git
@@ -17,7 +18,10 @@ metrics, so one ``--trace 1`` run per side checks the rest: every metric
 deterministic count) must be equal.
 
 Exit code 1 when a metric regressed beyond its bound, an exact metric
-differs, or the change fails more operations than the parent.  This tool
+differs, or the change fails more operations than the parent.  A change
+that moves a count on purpose names it beforehand with ``--declared
+METRIC@WORKLOAD`` (repeatable): that row prints as ``moved (declared)``
+instead of failing; every other exact row must still be equal.  This tool
 reads hostbench; it never edits it.
 """
 
@@ -67,6 +71,17 @@ def verdict(parent, change, better: str, bound: float) -> tuple[str, int]:
     return "no worse", wins
 
 
+def exact_row(name: str, a, b, declared=()) -> tuple[str | None, bool]:
+    """Judge one ``compare: exact`` row ``METRIC@WORKLOAD`` of the traced
+    runs; returns ``(line to print or None, fails)``.  A row that differs
+    fails unless the change named it in ``declared`` beforehand."""
+    if a == b:
+        return None, False
+    if name in declared:
+        return f"{name}: moved (declared) {a!r} -> {b!r}", False
+    return f"{name}: CHANGED (exact), parent {a!r} -> change {b!r}", True
+
+
 def run_once(root: str, workload: str, seed: int, trace: int) -> dict:
     """One hostbench run in ``root``; the driver's last-line JSON."""
     proc = subprocess.run(
@@ -79,7 +94,8 @@ def run_once(root: str, workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.rstrip("\n").rsplit("\n", 1)[-1])
 
 
-def measure(w: str, sides: dict, spec: dict, pairs: int, seed: int) -> int:
+def measure(w: str, sides: dict, spec: dict, pairs: int, seed: int,
+            declared=()) -> int:
     """All pairs and the traced check of one workload; prints its rows and
     returns the number of failures (regressions, exact rows that moved,
     a rise in failed ops)."""
@@ -123,16 +139,16 @@ def measure(w: str, sides: dict, spec: dict, pairs: int, seed: int) -> int:
         a, b = (traced[s][k]["value"] for s in sides)
         if m["compare"] == "exact":
             exact += 1
-            if a != b:
-                moved += 1
-                print(f"{k}@{w}: CHANGED (exact), parent {a!r} -> "
-                      f"change {b!r}")
+            line, failed = exact_row(f"{k}@{w}", a, b, declared)
+            moved += failed
+            if line:
+                print(line)
         elif m["compare"] == "relative" and a and not 0.8 <= b / a <= 1.25:
             # Where the host time went: layer rows that moved by a fifth.
             print(f"  traced {k}@{w}: {a:.4g} -> {b:.4g} {m['unit']} "
                   f"(x{b / a:.2f})")
-    print(f"exact@{w}: {exact - moved}/{exact} exact metrics equal in the "
-          f"traced runs", flush=True)
+    print(f"exact@{w}: {exact - moved}/{exact} exact metrics equal (or "
+          f"declared to move) in the traced runs", flush=True)
     return bad + moved
 
 
@@ -146,6 +162,10 @@ def main(argv=None) -> int:
                     choices=list(spec["workloads"]))
     ap.add_argument("--seed", type=int, default=100,
                     help="seed of the first pair (pair i runs seed + i)")
+    ap.add_argument("--declared", action="append", default=[],
+                    metavar="METRIC@WORKLOAD",
+                    help="an exact row this change moves on purpose: "
+                         "printed as moved, not failed (repeatable)")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="hostbench-parent-") as parent:
         archive = subprocess.run(["git", "archive", args.parent_ref],
@@ -153,7 +173,8 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout,
                        check=True)
         sides = {"parent": parent, "change": ROOT}
-        bad = sum(measure(w, sides, spec, args.pairs, args.seed)
+        bad = sum(measure(w, sides, spec, args.pairs, args.seed,
+                          args.declared)
                   for w in args.workload or spec["workloads"])
     return 1 if bad else 0
 
