@@ -35,17 +35,15 @@ import numpy as np
 
 from repro.comm.simulator import (
     ANY,
+    PARKED,
     RankCtx,
+    RecvOp,
     RMAError,
-    _ComputeOp,
-    _FenceOp,
-    _FlushOp,
-    _PutOp,
-    _ReadOp,
-    _RecvOp,
-    _SendOp,
+    op_handlers,
+    unknown_op,
 )
 from repro.analyze.schedule import (
+    Event,
     FenceEvent,
     FlushEvent,
     PutEvent,
@@ -93,7 +91,7 @@ SYMBOLIC_MACHINE = _SymbolicMachine()
 _READY, _RECV, _SENDB, _DONE, _FENCEX = 0, 1, 2, 3, 4
 
 
-def _op_matches(op: _RecvOp, sev: SendEvent) -> bool:
+def _op_matches(op: RecvOp, sev: SendEvent) -> bool:
     """The recv op's spec against a recorded send (simulator semantics)."""
     if op.src is not ANY and int(op.src) != sev.rank:
         return False
@@ -102,6 +100,192 @@ def _op_matches(op: _RecvOp, sev: SendEvent) -> bool:
     if callable(op.tag):
         return bool(op.tag(sev.tag))
     return sev.tag == op.tag
+
+
+class Extractor:
+    """The untimed causal executor behind :func:`extract_schedule`: the
+    simulator's op table (:data:`repro.comm.simulator.OPS`) interpreted
+    without clocks or faults, every comm op recorded as a schedule event."""
+
+    def __init__(self, nranks: int, rank_fn: Callable[[RankCtx], Iterable],
+                 rendezvous: bool, max_events: int):
+        n = self.n = nranks
+        self.rendezvous = rendezvous
+        self.max_events = max_events
+        self.ctxs = [RankCtx(r, n, SYMBOLIC_MACHINE) for r in range(n)]
+        gens = [rank_fn(ctx) for ctx in self.ctxs]
+        self.gens = [g if hasattr(g, "send") else (_ for _ in ())
+                     for g in gens]
+        self.handlers = op_handlers(Extractor)
+        self.events: list[list[Event]] = [[] for _ in range(n)]
+        # Undelivered eager messages per destination, in global send order.
+        self.mail: list[list[tuple[SendEvent, object]]] = [
+            [] for _ in range(n)]
+        self.state = [_READY] * n
+        # What each parked rank waits on: (op, event[, payload]).
+        self.pend: list = [None] * n
+        # Per-rank compute segment since the last comm event: [flops, bytes,
+        # nops].  Flushed onto the next event's pre_* fields, so the
+        # schedule carries enough compute structure for static pricing
+        # (repro.planner) without timing anything here.
+        self.seg: list[list] = [[0.0, 0.0, 0] for _ in range(n)]
+        self.gstep = 0
+        self.nops = 0
+        # One-sided state: per-rank windows and the global
+        # issued-but-unapplied write list (gidx, origin, dst, key, payload)
+        # — applied at the origin's flush or at the collective fence,
+        # mirroring the simulator.
+        self.windows: list[dict] = [{} for _ in range(n)]
+        self.rma_pending: list[tuple] = []
+
+    def record(self, cls: type, ctx: RankCtx, op, *fields):
+        """Append ``op``'s event (``cls`` with ``fields``) to its rank's
+        list, carrying the compute segment accumulated since the last."""
+        r = ctx.rank
+        fl, nb, no = self.seg[r]
+        self.seg[r] = [0.0, 0.0, 0]
+        ev = cls(r, len(self.events[r]), self.gstep, *fields, ctx.phase,
+                 ctx.sync, op.category, pre_flops=fl, pre_bytes=nb,
+                 pre_ops=no)
+        self.gstep += 1
+        self.events[r].append(ev)
+        return ev
+
+    def park(self, r: int, state: int, *waiting):
+        self.state[r] = state
+        self.pend[r] = waiting
+        return PARKED
+
+    def apply_rma(self, writes: list[tuple]) -> None:
+        for _gidx, _origin, dst, key, payload in sorted(writes):
+            self.windows[dst][key] = payload
+
+    def run_rank(self, r: int, value=None) -> None:
+        """Advance rank r until it blocks or finishes (the engine's
+        ``resume``, minus clocks and faults)."""
+        ctx, gen, handlers = self.ctxs[r], self.gens[r], self.handlers
+        nops, max_events = self.nops, self.max_events
+        while value is not PARKED:
+            self.nops = nops = nops + 1
+            if nops > max_events:
+                raise ExtractionLimit(f"schedule extraction exceeded "
+                                      f"{max_events} operations")
+            try:
+                op = gen.send(value)
+            except StopIteration:
+                self.state[r] = _DONE
+                self.pend[r] = None
+                return
+            try:
+                handler = handlers[type(op)]
+            except KeyError:
+                raise unknown_op(r, op) from None
+            value = handler(self, ctx, op)
+
+    def op_send(self, ctx, op):
+        ev = self.record(SendEvent, ctx, op, op.dst, op.tag, op.nbytes)
+        if self.rendezvous:
+            return self.park(ctx.rank, _SENDB, op, ev, op.payload)
+        self.mail[op.dst].append((ev, op.payload))
+
+    def op_recv(self, ctx, op):
+        return self.park(ctx.rank, _RECV, op,
+                         self.record(RecvEvent, ctx, op, op.src, op.tag))
+
+    def op_compute(self, ctx, op):
+        # Zero-cost: compute never appears in the schedule, but its
+        # flop/byte annotations accumulate into the segment.
+        seg = self.seg[ctx.rank]
+        seg[0] += op.flops
+        seg[1] += op.nbytes
+        seg[2] += 1
+
+    def op_put(self, ctx, op):
+        ev = self.record(PutEvent, ctx, op, op.dst, op.key, op.nbytes)
+        self.rma_pending.append((ev.gidx, ctx.rank, op.dst, op.key,
+                                 op.payload))
+
+    def op_flush(self, ctx, op):
+        self.record(FlushEvent, ctx, op, op.dst)
+        mine = [w for w in self.rma_pending if w[1] == ctx.rank
+                and (op.dst is None or w[2] == op.dst)]
+        for w in mine:
+            self.rma_pending.remove(w)
+        self.apply_rma(mine)
+
+    def op_fence(self, ctx, op):
+        return self.park(ctx.rank, _FENCEX, op,
+                         self.record(FenceEvent, ctx, op, op.tag))
+
+    def op_read(self, ctx, op):
+        self.record(ReadEvent, ctx, op, op.key)
+        if op.key not in self.windows[ctx.rank]:
+            raise RMAError(
+                f"extraction: rank {ctx.rank} read window key {op.key!r} "
+                f"before any put to it was applied (missing flush/fence?)")
+        return self.windows[ctx.rank][op.key]
+
+    def complete(self, r: int, sev: SendEvent, payload) -> None:
+        """Match rank r's parked receive to ``sev`` and hand it over."""
+        ev = self.pend[r][1]
+        ev.match = (sev.rank, sev.pos)
+        ev.matched_tag = sev.tag
+        self.state[r] = _READY
+        self.run_rank(r, (sev.rank, sev.tag, payload))
+
+    def deliver(self) -> bool:
+        """Everyone is blocked or done: deliver messages / complete pairs."""
+        n, state, pend = self.n, self.state, self.pend
+        delivered = False
+        for r in range(n):
+            if state[r] != _RECV:
+                continue
+            op = pend[r][0]
+            # FIFO == earliest global send order.
+            best = next((i for i, (sev, _payload) in enumerate(self.mail[r])
+                         if _op_matches(op, sev)), None)
+            if best is not None:
+                self.complete(r, *self.mail[r].pop(best))
+                delivered = True
+            elif self.rendezvous:
+                cands = [(pend[s][1].gidx, s) for s in range(n)
+                         if state[s] == _SENDB and pend[s][0].dst == r
+                         and _op_matches(op, pend[s][1])]
+                if cands:
+                    _, s = min(cands)
+                    _sop, sev, payload = pend[s]
+                    state[s] = _READY
+                    pend[s] = None
+                    self.complete(r, sev, payload)
+                    self.run_rank(s)
+                    delivered = True
+        return delivered
+
+    def run(self) -> None:
+        """Drive every rank until none can move."""
+        n, state = self.n, self.state
+        while True:
+            ready = [r for r in range(n) if state[r] == _READY]
+            for r in ready:
+                self.run_rank(r)
+            if ready or self.deliver():
+                continue
+            # Fence quorum (mirrors the simulator): the collective epoch
+            # boundary completes only when every live rank is parked at its
+            # fence — then all pending writes are applied and everyone
+            # resumes.
+            fencing = [r for r in range(n) if state[r] == _FENCEX]
+            if not fencing or any(s not in (_FENCEX, _DONE) for s in state):
+                return
+            self.apply_rma(self.rma_pending)
+            self.rma_pending = []
+            for r in fencing:
+                state[r] = _READY
+                self.pend[r] = None
+
+    def blocked(self, state: int) -> list[tuple[int, int]]:
+        return [(r, self.pend[r][1].pos) for r in range(self.n)
+                if self.state[r] == state]
 
 
 def extract_schedule(nranks: int, rank_fn: Callable[[RankCtx], Iterable],
@@ -118,211 +302,15 @@ def extract_schedule(nranks: int, rank_fn: Callable[[RankCtx], Iterable],
     (``complete=False`` plus the blocked positions), so the verifier can
     produce a deadlock witness instead of a stack trace.
     """
-    n = nranks
-    ctxs = [RankCtx(r, n, SYMBOLIC_MACHINE) for r in range(n)]
-    gens: list = []
-    for r in range(n):
-        g = rank_fn(ctxs[r])
-        gens.append(g if hasattr(g, "send") else iter(()))
-
-    events: list[list[SendEvent | RecvEvent]] = [[] for _ in range(n)]
-    # Undelivered eager messages per destination, in global send order.
-    mail: list[list[tuple[SendEvent, object]]] = [[] for _ in range(n)]
-    state = [_READY] * n
-    pend: list = [None] * n   # (_RecvOp, RecvEvent) or (_SendOp, SendEvent, payload)
-    started = [False] * n
-    # Per-rank compute segment since the last comm event: [flops, bytes,
-    # nops].  Flushed onto the next Send/RecvEvent's pre_* fields, so the
-    # schedule carries enough compute structure for static pricing
-    # (repro.planner) without timing anything here.
-    seg: list[list] = [[0.0, 0.0, 0] for _ in range(n)]
-    gstep = 0
-    nops = 0
-    # One-sided state: per-rank windows and the global issued-but-unapplied
-    # write list (gidx, origin, dst, key, payload) — applied at the origin's
-    # flush or at the collective fence, mirroring the simulator.
-    windows: list[dict] = [{} for _ in range(n)]
-    rma_pending: list[tuple] = []
-
-    def apply_rma(writes: list[tuple]) -> None:
-        for _gidx, _origin, dst, key, payload in sorted(writes):
-            windows[dst][key] = payload
-
-    def run_rank(r: int, value) -> None:
-        """Advance rank r until it blocks or finishes (mirrors the
-        simulator's ``advance``, minus clocks and faults)."""
-        nonlocal gstep, nops
-        ctx = ctxs[r]
-        gen = gens[r]
-        while True:
-            nops += 1
-            if nops > max_events:
-                raise ExtractionLimit(
-                    f"schedule extraction exceeded {max_events} operations")
-            try:
-                if not started[r]:
-                    started[r] = True
-                    op = next(gen)
-                else:
-                    op = gen.send(value)
-            except StopIteration:
-                state[r] = _DONE
-                pend[r] = None
-                return
-            value = None
-            if isinstance(op, _SendOp):
-                fl, nb, no = seg[r]
-                seg[r] = [0.0, 0.0, 0]
-                ev = SendEvent(r, len(events[r]), gstep, op.dst, op.tag,
-                               op.nbytes, ctx.phase, ctx.sync, op.category,
-                               pre_flops=fl, pre_bytes=nb, pre_ops=no)
-                gstep += 1
-                events[r].append(ev)
-                if rendezvous:
-                    state[r] = _SENDB
-                    pend[r] = (op, ev, op.payload)
-                    return
-                mail[op.dst].append((ev, op.payload))
-            elif isinstance(op, _RecvOp):
-                fl, nb, no = seg[r]
-                seg[r] = [0.0, 0.0, 0]
-                ev = RecvEvent(r, len(events[r]), gstep, op.src, op.tag,
-                               ctx.phase, ctx.sync, op.category,
-                               pre_flops=fl, pre_bytes=nb, pre_ops=no)
-                gstep += 1
-                events[r].append(ev)
-                state[r] = _RECV
-                pend[r] = (op, ev)
-                return
-            elif isinstance(op, _ComputeOp):
-                # Zero-cost: compute never appears in the schedule, but
-                # its flop/byte annotations accumulate into the segment.
-                seg[r][0] += op.flops
-                seg[r][1] += op.nbytes
-                seg[r][2] += 1
-            elif isinstance(op, _PutOp):
-                fl, nb, no = seg[r]
-                seg[r] = [0.0, 0.0, 0]
-                ev = PutEvent(r, len(events[r]), gstep, op.dst, op.key,
-                              op.nbytes, ctx.phase, ctx.sync, op.category,
-                              pre_flops=fl, pre_bytes=nb, pre_ops=no)
-                gstep += 1
-                events[r].append(ev)
-                rma_pending.append((ev.gidx, r, op.dst, op.key, op.payload))
-            elif isinstance(op, _FlushOp):
-                fl, nb, no = seg[r]
-                seg[r] = [0.0, 0.0, 0]
-                ev = FlushEvent(r, len(events[r]), gstep, op.dst,
-                                ctx.phase, ctx.sync, op.category,
-                                pre_flops=fl, pre_bytes=nb, pre_ops=no)
-                gstep += 1
-                events[r].append(ev)
-                mine = [w for w in rma_pending
-                        if w[1] == r and (op.dst is None or w[2] == op.dst)]
-                for w in mine:
-                    rma_pending.remove(w)
-                apply_rma(mine)
-            elif isinstance(op, _FenceOp):
-                fl, nb, no = seg[r]
-                seg[r] = [0.0, 0.0, 0]
-                ev = FenceEvent(r, len(events[r]), gstep, op.tag,
-                                ctx.phase, ctx.sync, op.category,
-                                pre_flops=fl, pre_bytes=nb, pre_ops=no)
-                gstep += 1
-                events[r].append(ev)
-                state[r] = _FENCEX
-                pend[r] = (op, ev)
-                return
-            elif isinstance(op, _ReadOp):
-                fl, nb, no = seg[r]
-                seg[r] = [0.0, 0.0, 0]
-                ev = ReadEvent(r, len(events[r]), gstep, op.key,
-                               ctx.phase, ctx.sync, op.category,
-                               pre_flops=fl, pre_bytes=nb, pre_ops=no)
-                gstep += 1
-                events[r].append(ev)
-                if op.key not in windows[r]:
-                    raise RMAError(
-                        f"extraction: rank {r} read window key {op.key!r} "
-                        f"before any put to it was applied (missing "
-                        f"flush/fence?)")
-                value = windows[r][op.key]
-            else:
-                raise TypeError(
-                    f"rank {r} yielded {op!r}; yield "
-                    f"ctx.send/recv/compute/put/flush/fence/read")
-
-    while True:
-        progressed = False
-        for r in range(n):
-            if state[r] == _READY:
-                run_rank(r, None)
-                progressed = True
-        if progressed:
-            continue
-        # Everyone is blocked or done: deliver messages / complete pairs.
-        delivered = False
-        for r in range(n):
-            if state[r] != _RECV:
-                continue
-            op, ev = pend[r]
-            best = None
-            for i, (sev, _payload) in enumerate(mail[r]):
-                if _op_matches(op, sev):
-                    best = i   # FIFO == earliest global send order
-                    break
-            if best is not None:
-                sev, payload = mail[r].pop(best)
-                ev.match = (sev.rank, sev.pos)
-                ev.matched_tag = sev.tag
-                state[r] = _READY
-                run_rank(r, (sev.rank, sev.tag, payload))
-                delivered = True
-                continue
-            if rendezvous:
-                cands = [(pend[s][1].gidx, s) for s in range(n)
-                         if state[s] == _SENDB and pend[s][0].dst == r
-                         and _op_matches(op, pend[s][1])]
-                if cands:
-                    _, s = min(cands)
-                    sop, sev, payload = pend[s]
-                    ev.match = (sev.rank, sev.pos)
-                    ev.matched_tag = sev.tag
-                    state[s] = _READY
-                    pend[s] = None
-                    state[r] = _READY
-                    run_rank(r, (sev.rank, sev.tag, payload))
-                    run_rank(s, None)
-                    delivered = True
-        if delivered:
-            continue
-        # Fence quorum (mirrors the simulator): the collective epoch
-        # boundary completes only when every live rank is parked at its
-        # fence — then all pending writes are applied and everyone resumes.
-        fencing = [r for r in range(n) if state[r] == _FENCEX]
-        if fencing and all(state[r] in (_FENCEX, _DONE) for r in range(n)):
-            writes = list(rma_pending)
-            rma_pending.clear()
-            apply_rma(writes)
-            for r in fencing:
-                state[r] = _READY
-                pend[r] = None
-            continue
-        break
-
-    blocked_recvs = [(r, pend[r][1].pos) for r in range(n)
-                     if state[r] == _RECV]
-    blocked_sends = [(r, pend[r][1].pos) for r in range(n)
-                     if state[r] == _SENDB]
-    blocked_fences = [(r, pend[r][1].pos) for r in range(n)
-                      if state[r] == _FENCEX]
-    return Schedule(nranks=n, events=events,
-                    complete=all(s == _DONE for s in state),
-                    blocked_recvs=blocked_recvs,
-                    blocked_sends=blocked_sends,
-                    blocked_fences=blocked_fences,
+    x = Extractor(nranks, rank_fn, rendezvous, max_events)
+    x.run()
+    return Schedule(nranks=nranks, events=x.events,
+                    complete=all(s == _DONE for s in x.state),
+                    blocked_recvs=x.blocked(_RECV),
+                    blocked_sends=x.blocked(_SENDB),
+                    blocked_fences=x.blocked(_FENCEX),
                     rendezvous=rendezvous, name=name,
-                    compute_tails=[(s[0], s[1], s[2]) for s in seg])
+                    compute_tails=[(s[0], s[1], s[2]) for s in x.seg])
 
 
 # -- solver targets ----------------------------------------------------------

@@ -12,6 +12,12 @@ Sends are eager and buffered (the solvers use ``MPI_Isend``): the sender is
 busy only for the network model's injection overhead, and the payload is
 copied so later mutation by the sender cannot race the receiver.
 
+The ops are one table (:data:`OPS`); :meth:`Simulator.run` hands the
+program to a per-run :class:`Engine` that dispatches on it, with delivery
+(lossless, or the fault-plan / reliable-envelope path) bound as a policy at
+construction and metrics, trace and tape recording attached as
+:class:`Observer` s — see ``docs/ARCHITECTURE.md``.
+
 Every operation carries a ``(phase, category)`` label; per-rank time is
 accumulated per label, which is how the paper's Z-Comm / XY-Comm /
 FP-Operation breakdowns (Figs. 5-6) and per-rank load-balance plots
@@ -134,8 +140,16 @@ class _Message:
         return (self.arrival, self.seq) < (other.arrival, other.seq)
 
 
+# -- the rank-program op vocabulary -------------------------------------------
+#
+# What a rank program may ``yield`` (built by the RankCtx methods of the same
+# name).  Every interpreter of the protocol — the engine below,
+# repro.analyze.extract — dispatches on OPS and has one ``op_<kind>`` handler
+# per row.
+
+
 @dataclass
-class _SendOp:
+class SendOp:
     dst: int
     payload: Any
     tag: Hashable
@@ -144,7 +158,7 @@ class _SendOp:
 
 
 @dataclass
-class _RecvOp:
+class RecvOp:
     src: Any
     tag: Any
     category: str
@@ -152,7 +166,7 @@ class _RecvOp:
 
 
 @dataclass
-class _ComputeOp:
+class ComputeOp:
     seconds: float
     category: str
     flops: float = 0.0   # metrics-only annotation; never affects the clock
@@ -160,7 +174,7 @@ class _ComputeOp:
 
 
 @dataclass
-class _PutOp:
+class PutOp:
     dst: int
     key: Hashable
     payload: Any
@@ -169,21 +183,41 @@ class _PutOp:
 
 
 @dataclass
-class _FlushOp:
+class FlushOp:
     dst: int | None      # None flushes this origin's writes to every target
     category: str
 
 
 @dataclass
-class _FenceOp:
+class FenceOp:
     tag: Hashable
     category: str
 
 
 @dataclass
-class _ReadOp:
+class ReadOp:
     key: Hashable
     category: str
+
+
+#: Op class → kind, in the order the error text below lists them.
+OPS: dict[type, str] = {SendOp: "send", RecvOp: "recv", ComputeOp: "compute",
+                        PutOp: "put", FlushOp: "flush", FenceOp: "fence",
+                        ReadOp: "read"}
+
+
+def op_handlers(interpreter: type) -> dict[type, Callable]:
+    """The ``op_<kind>`` function of class ``interpreter`` for every op
+    class, to be called as ``handler(self, ctx, op)`` (unbound, so an
+    interpreter holding its table does not reference itself)."""
+    return {cls: getattr(interpreter, "op_" + kind)
+            for cls, kind in OPS.items()}
+
+
+def unknown_op(rank: int, op: Any) -> TypeError:
+    """What every interpreter raises for a yielded object outside OPS."""
+    return TypeError(f"rank {rank} yielded {op!r}; yield "
+                     f"ctx.{'/'.join(OPS.values())}")
 
 
 @dataclass(eq=False)
@@ -247,10 +281,12 @@ class _LabelScope:
 class RankCtx:
     """Per-rank handle: build ops to ``yield`` and accumulate timing."""
 
-    def __init__(self, rank: int, nranks: int, machine):
+    def __init__(self, rank: int, nranks: int, machine,
+                 observers: "Iterable[Observer]" = ()):
         self.rank = rank
         self.nranks = nranks
         self.machine = machine
+        self.observers = observers
         self.clock = 0.0
         self.phase = ""
         self.sync = ""
@@ -258,22 +294,20 @@ class RankCtx:
         self.sent_msgs: dict[tuple[str, str], int] = {}
         self.sent_bytes: dict[tuple[str, str], float] = {}
         self.marks: dict[str, float] = {}
-        # Tape recorder hook (repro.replay); None outside recording runs.
-        self._recorder = None
 
     # -- op builders (use as `yield ctx.send(...)`) -------------------------
 
     def send(self, dst: int, payload: Any, tag: Hashable = None,
-             nbytes: int | None = None, category: str = "comm") -> _SendOp:
+             nbytes: int | None = None, category: str = "comm") -> SendOp:
         """Eager buffered send of ``payload`` to rank ``dst``."""
         if not (0 <= dst < self.nranks):
             raise ValueError(f"send to invalid rank {dst}")
         if nbytes is None:
             nbytes = _payload_nbytes(payload)
-        return _SendOp(dst, payload, tag, nbytes, category)
+        return SendOp(dst, payload, tag, nbytes, category)
 
     def recv(self, src: Any = ANY, tag: Any = ANY,
-             category: str = "comm", timeout: float | None = None) -> _RecvOp:
+             category: str = "comm", timeout: float | None = None) -> RecvOp:
         """Blocking receive; yields ``(src, tag, payload)``.
 
         ``tag`` may be ``ANY``, an exact value, or a predicate
@@ -294,10 +328,10 @@ class RankCtx:
                     f"this wait could never be satisfied")
         if timeout is not None and timeout <= 0:
             raise ValueError("recv timeout must be > 0")
-        return _RecvOp(src, tag, category, timeout)
+        return RecvOp(src, tag, category, timeout)
 
     def compute(self, seconds: float, category: str = "fp",
-                flops: float = 0.0, nbytes: float = 0.0) -> _ComputeOp:
+                flops: float = 0.0, nbytes: float = 0.0) -> ComputeOp:
         """Advance the local clock by ``seconds`` of work.
 
         ``flops`` and ``nbytes`` are metrics-only annotations (recorded
@@ -307,10 +341,10 @@ class RankCtx:
         """
         if seconds < 0:
             raise ValueError("compute time must be >= 0")
-        return _ComputeOp(seconds, category, flops, nbytes)
+        return ComputeOp(seconds, category, flops, nbytes)
 
     def put(self, dst: int, key: Hashable, payload: Any,
-            nbytes: int | None = None, category: str = "comm") -> _PutOp:
+            nbytes: int | None = None, category: str = "comm") -> PutOp:
         """One-sided write of ``payload`` into rank ``dst``'s window under
         ``key``.
 
@@ -327,38 +361,38 @@ class RankCtx:
         hash(key)   # window keys must be hashable, like message tags
         if nbytes is None:
             nbytes = _payload_nbytes(payload)
-        return _PutOp(dst, key, payload, nbytes, category)
+        return PutOp(dst, key, payload, nbytes, category)
 
     def flush(self, dst: int | None = None,
-              category: str = "comm") -> _FlushOp:
+              category: str = "comm") -> FlushOp:
         """Complete this rank's outstanding puts to ``dst`` (all targets
         when ``None``): blocks until their payloads have landed and applies
         them to the target windows."""
         if dst is not None and not (0 <= dst < self.nranks):
             raise ValueError(f"flush of invalid rank {dst}")
-        return _FlushOp(dst, category)
+        return FlushOp(dst, category)
 
     def fence(self, tag: Hashable = None,
-              category: str = "comm") -> _FenceOp:
+              category: str = "comm") -> FenceOp:
         """Epoch boundary: collective barrier that completes every rank's
         outstanding puts.  All live ranks must reach a fence for it to
         complete; afterwards every write issued before any rank's fence is
         visible to every :meth:`read`."""
-        return _FenceOp(tag, category)
+        return FenceOp(tag, category)
 
-    def read(self, key: Hashable, category: str = "comm") -> _ReadOp:
+    def read(self, key: Hashable, category: str = "comm") -> ReadOp:
         """Local, zero-cost read of this rank's own window; yields the
         payload most recently applied under ``key``.  Reading a key no
         flush/fence has applied yet raises :class:`RMAError`."""
         hash(key)
-        return _ReadOp(key, category)
+        return ReadOp(key, category)
 
-    def gemm(self, m: int, n: int, k: int, category: str = "fp") -> _ComputeOp:
+    def gemm(self, m: int, n: int, k: int, category: str = "fp") -> ComputeOp:
         """Convenience: a dense m×k @ k×n on this rank's CPU model."""
         fl = gemm_flops(m, n, k)
         nb = gemm_bytes(m, n, k)
         t = self.machine.cpu.op_time(fl, nb)
-        return _ComputeOp(t, category, fl, nb)
+        return ComputeOp(t, category, fl, nb)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -381,8 +415,8 @@ class RankCtx:
     def mark(self, name: str) -> None:
         """Record the current clock under ``name`` (phase boundaries)."""
         self.marks[name] = self.clock
-        if self._recorder is not None:
-            self._recorder.on_mark(self.rank, name)
+        for o in self.observers:
+            o.on_mark(self.rank, name)
 
     def _charge(self, category: str, seconds: float) -> None:
         key = (self.phase, category)
@@ -528,11 +562,679 @@ class SimResult:
         return out
 
 
+class Observer:
+    """What an engine run reports, as it happens: the one interface behind
+    ``Simulator(metrics=, trace=, recorder=)``.
+
+    Observers are only ever *told* what the scheduler already decided, so
+    a run's clocks and results are bit-identical with any set attached.
+    Override the events to keep; trailing arguments an override does not
+    read may be swallowed with ``*_``.
+    """
+
+    def start_run(self, nranks, machine):
+        """A run of ``nranks`` ranks on ``machine`` begins."""
+
+    def on_send(self, rank, seq, nbytes, lat, phase, category, sync, dst,
+                t0, t1, alpha):
+        """``rank`` injected a send or put over ``[t0, t1]``; ``seq`` is the
+        queued message's id (``None`` for a put or a lost message), ``lat``
+        its α-β flight time and ``alpha`` the α part of that."""
+
+    def on_compute(self, rank, seconds, phase, category, t0, t1, flops):
+        """``rank`` computed over ``[t0, t1]`` (zero-second ops included)."""
+
+    def on_recv(self, rank, seq, phase, category, sync, t0, arrival, t1,
+                peer):
+        """A blocking wait completed over ``[t0, t1]``: message ``seq`` from
+        rank ``peer`` was delivered, or (``seq is None``) ``peer`` names the
+        wait — ``"timeout"`` (``arrival is None``), ``"flush"``, ``"fence"``."""
+
+    def on_mark(self, rank, name):
+        """``ctx.mark(name)`` on ``rank``."""
+
+    def on_fault(self, rank, phase, event):
+        """A :class:`~repro.comm.faults.FaultEvent` was logged on ``rank``."""
+
+    def on_retransmit(self, rank, phase, category, nbytes):
+        """The reliable envelope re-sent a lost copy."""
+
+    def on_ack(self, rank, phase, category, nbytes):
+        """The reliable envelope acknowledged a delivery."""
+
+
+class _TraceLog(Observer):
+    """``Simulator(trace=True)``: the run as :class:`TraceEvent` rows."""
+
+    def __init__(self):
+        self.events: list[TraceEvent] = []
+
+    def on_send(self, rank, seq, nbytes, lat, phase, category, sync, dst,
+                t0, t1, alpha):
+        self.events.append(TraceEvent(rank, t0, t1, "send", phase, category,
+                                      dst))
+
+    def on_compute(self, rank, seconds, phase, category, t0, t1, flops):
+        if seconds > 0:
+            self.events.append(TraceEvent(rank, t0, t1, "compute", phase,
+                                          category))
+
+    def on_recv(self, rank, seq, phase, category, sync, t0, arrival, t1,
+                peer):
+        self.events.append(TraceEvent(rank, t0, t1, "wait", phase, category,
+                                      peer))
+
+    def on_fault(self, rank, phase, event):
+        self.events.append(TraceEvent(
+            rank, event.time, event.time, "fault", phase, event.kind,
+            {"src": event.src, "dst": event.dst, "tag": event.tag,
+             "note": event.note}))
+
+
 _READY, _RECV, _DONE, _FENCE = 0, 1, 2, 3
 
 # Sort marker so an expiring timeout loses ties against a real message with
 # the same virtual timestamp.
 _TIMEOUT = -1
+
+_INF = float("inf")
+
+#: What an ``op_<kind>`` handler returns once it has parked its rank; any
+#: other return value is sent back into the rank's generator.
+PARKED = object()
+
+
+def _matching(spec: RecvOp, box: list[_Message]) -> list[int]:
+    """Indices of the queued messages a receive's (src, tag) spec accepts."""
+    src, tag = spec.src, spec.tag
+    by_predicate = tag is not ANY and callable(tag)
+    return [i for i, m in enumerate(box)
+            if (src is ANY or m.src == src)
+            and (tag is ANY
+                 or (tag(m.tag) if by_predicate else m.tag == tag))]
+
+
+def _swap_newest(box: list[_Message], src: int) -> None:
+    """Swap arrival times of the two newest pending messages from ``src``
+    in ``box`` (models out-of-order delivery on one link)."""
+    pair = sorted((m for m in box if m.src == src), key=lambda m: m.seq)[-2:]
+    if len(pair) == 2:
+        pair[0].arrival, pair[1].arrival = pair[1].arrival, pair[0].arrival
+
+
+class _Eager:
+    """Delivery on the lossless fabric: every send queues one copy, one
+    latency after injection; nothing to acknowledge or verify."""
+
+    def send(self, eng: "Engine", ctx: RankCtx, op: SendOp,
+             lat: float) -> int | None:
+        """Queue ``op``'s message(s); the id of the copy the receiver will
+        match, or ``None`` when nothing was delivered."""
+        return eng.post(op.dst, ctx.clock + lat, ctx.rank, op.tag,
+                        _copy_payload(op.payload), op.nbytes)
+
+    def ack(self, eng: "Engine", ctx: RankCtx, category: str) -> None:
+        """Charge whatever a delivery costs its receiver beyond the recv."""
+
+    def verify(self, eng: "Engine", ctx: RankCtx,
+               m: _Message) -> Exception | None:
+        """The error to raise in the receiver instead of handing it ``m``."""
+        return None
+
+
+class _Lossy(_Eager):
+    """Delivery under a fault plan and/or the reliable envelope: drops,
+    duplicates, delay spikes, reorderings and corruption on the way in;
+    retransmission, per-delivery acks and checksum verification on top."""
+
+    def __init__(self, net, transport: ReliableTransport | None,
+                 checksums: bool):
+        self.transport = transport
+        self.enveloped = transport is not None
+        self.checksums = checksums
+        self.rto = transport.base_rto(net) if self.enveloped else 0.0
+
+    def send(self, eng, ctx, op, lat):
+        payload = _copy_payload(op.payload)
+        # Checksum is stamped over the *sent* data, before any in-flight
+        # corruption, so mismatches surface.
+        csum = payload_checksum(payload) if self.checksums else None
+        arrival, duplicate, reorder = self.transmit(eng, ctx, op, payload,
+                                                    lat)
+        if arrival is None:
+            return None
+        seq = eng.post(op.dst, arrival, ctx.rank, op.tag, payload, op.nbytes,
+                       csum)
+        if duplicate:
+            eng.post(op.dst, arrival + lat, ctx.rank, op.tag,
+                     _copy_payload(payload), op.nbytes, csum)
+        if reorder:
+            _swap_newest(eng.mailbox[op.dst], ctx.rank)
+        return seq
+
+    def transmit(self, eng: "Engine", ctx: RankCtx, op: SendOp, payload: Any,
+                 lat: float):
+        """Apply fault/transport policy to one send: ``(arrival, duplicate,
+        reorder)``, with ``arrival`` ``None`` when the message is lost;
+        ``payload`` may be corrupted in place."""
+        transport, r, faults = self.transport, ctx.rank, eng.faults
+        if faults is None:
+            # Reliable transport without faults: nothing to retransmit.
+            return ctx.clock + lat, False, False
+
+        def log(kind: str, note: str = "") -> None:
+            eng.fault(r, kind, r, op.dst, op.tag, note)
+
+        delay = 0.0
+        attempt = 0
+        while True:
+            d = faults.decide(r, op.dst, op.tag, ctx.clock)
+            if d.extra_delay > 0.0:
+                delay += d.extra_delay
+                log("delay", f"+{d.extra_delay:.3e}s")
+            if d.drop:
+                log("drop", f"attempt {attempt}")
+            # Under the reliable envelope a corrupted copy is detected by
+            # its checksum and retransmitted like a drop; without checksums
+            # corruption is undetectable even when "reliable".
+            if not (d.drop or (d.corrupt and self.enveloped
+                               and self.checksums)):
+                if d.corrupt and corrupt_payload(payload, faults.rng):
+                    log("corrupt", "bit flip")
+                # The envelope's sequencing suppresses what the plan drew.
+                if d.duplicate:
+                    log("dup-suppressed" if self.enveloped else "duplicate")
+                if d.reorder:
+                    log("reorder-suppressed" if self.enveloped else "reorder")
+                return (ctx.clock + delay + lat,
+                        d.duplicate and not self.enveloped,
+                        d.reorder and not self.enveloped)
+            if not self.enveloped:
+                return None, False, False
+            if attempt >= transport.max_retries:
+                log("lost", f"gave up after {attempt} retries")
+                return None, False, False
+            delay += self.rto * (transport.backoff ** attempt)
+            attempt += 1
+            # The retransmitted copy is real traffic: count it.
+            ctx._charge_msg(op.category, op.nbytes)
+            for o in eng.observers:
+                o.on_retransmit(r, ctx.phase, op.category, op.nbytes)
+            log("retransmit", f"attempt {attempt}, backoff {delay:.3e}s")
+
+    def ack(self, eng, ctx, category):
+        if not self.enveloped:
+            return
+        # The envelope acks every delivery: one control send.
+        so, nbytes = eng.net.send_overhead, self.transport.ack_nbytes
+        ctx.clock += so
+        ctx._charge(category, so)
+        ctx._charge_msg("ack", nbytes)
+        for o in eng.observers:
+            o.on_ack(ctx.rank, ctx.phase, "ack", nbytes)
+
+    def verify(self, eng, ctx, m):
+        if m.checksum is None:
+            return None
+        actual = payload_checksum(m.payload)
+        if actual == m.checksum:
+            return None
+        if eng.faults is not None:
+            eng.fault(ctx.rank, "checksum-fail", m.src, ctx.rank, m.tag)
+        return ChecksumError(ctx.rank, m.src, m.tag, m.checksum, actual)
+
+
+class Engine:
+    """One run of a rank program: the clocks, the ready structure and the
+    op handlers.  Delivery is a policy bound at construction; everything
+    that only watches is an :class:`Observer`.
+
+    The scheduler always advances the runnable rank with the smallest key.
+    Each rank's key and matched message index (or ``_TIMEOUT``) are cached
+    and recomputed only for ranks in ``dirty`` — those whose state, parked
+    op or mailbox changed since the last event.
+    """
+
+    def __init__(self, sim: "Simulator", rank_fn: Callable):
+        n = self.n = sim.nranks
+        self.machine = sim.machine
+        self.net = sim.machine.net
+        self.max_events = sim.max_events
+        self.strict_match = sim.strict_match
+        self.rma_strict = sim.rma_strict
+        self.tracelog = _TraceLog() if sim.trace else None
+        self.observers = [o for o in (sim.recorder, sim.metrics,
+                                      self.tracelog) if o is not None]
+        for o in self.observers:
+            o.start_run(n, sim.machine)
+        self.faults = (sim.faults.start_run() if sim.faults is not None
+                       else None)
+        lossless = self.faults is None and sim.transport is None
+        self.delivery = (_Eager() if lossless else
+                         _Lossy(self.net, sim.transport, sim.checksums))
+        # One-sided semantics exist only where nothing is lost or taped.
+        self.one_sided = lossless and sim.recorder is None
+        self.ctxs = [RankCtx(r, n, sim.machine, self.observers)
+                     for r in range(n)]
+        gens = (rank_fn(ctx) for ctx in self.ctxs)
+        self.gens = [g if hasattr(g, "send") else (_ for _ in ())
+                     for g in gens]
+        self.handlers = op_handlers(Engine)
+        self.state = [_READY] * n
+        self.pending: list[RecvOp | FenceOp | None] = [None] * n
+        self.deadline = [_INF] * n
+        self.results: list[Any] = [None] * n
+        self.crashed: list[int] = []
+        self.mailbox: list[list[_Message]] = [[] for _ in range(n)]
+        self.idle = (_INF, _INF, n)       # sorts after every real key
+        self.keys = [self.idle] * n
+        self.matched: list[int | None] = [None] * n
+        self.dirty = set(range(n))
+        self.seq = 0
+        self.events = 0
+        # Watchdog: the event count at the last clock advance.
+        self.wd = (sim.watchdog_events if sim.watchdog_events is not None
+                   else _INF)
+        self.progress = 0
+        # One-sided state: per-rank windows, issued-but-unapplied writes,
+        # and the strict-mode same-epoch application map.
+        self.windows: list[dict[Hashable, Any]] = [{} for _ in range(n)]
+        self.rma_pending: list[_PendingWrite] = []
+        self.epoch_applied: dict[tuple[int, Hashable], int] = {}
+        self.rma_live = [0] * n
+        self.rma_peak = [0] * n
+        self.rma_put_bytes = 0
+        self.rma_applied_bytes = 0
+
+    # -- scheduling -----------------------------------------------------------
+
+    def run(self) -> None:
+        """Advance every rank to completion (or raise what stopped it)."""
+        keys, dirty, state, matched = (self.keys, self.dirty, self.state,
+                                       self.matched)
+        while True:
+            if self.events - self.progress > self.wd:
+                raise self.stalled()
+            for r in dirty:
+                self.refresh(r)
+            dirty.clear()
+            r = min(keys)[2]
+            if r == self.n:
+                if self.quiesce():
+                    continue
+                return
+            dirty.add(r)    # every branch below resumes rank r
+            if state[r] == _READY:
+                self.resume(r)
+            elif matched[r] == _TIMEOUT:
+                self.expire(r)
+            else:
+                self.deliver(r)
+
+    def refresh(self, r: int) -> None:
+        """Recompute rank r's scheduling key; a finished, fenced or
+        unmatched rank without a deadline is not a candidate."""
+        key = self.idle
+        if self.state[r] == _READY:
+            key = (self.ctxs[r].clock, 0.0, r)
+        elif self.state[r] == _RECV:
+            # The earliest-arriving message the parked receive accepts.
+            box, best, best_at = self.mailbox[r], None, (_INF, _INF)
+            for i in _matching(self.pending[r], box):
+                at = (box[i].arrival, box[i].seq)
+                if at < best_at:
+                    best, best_at = i, at
+            self.matched[r] = best
+            if best is not None and best_at[0] <= self.deadline[r]:
+                key = (max(self.ctxs[r].clock, best_at[0]), best_at[0], r)
+            elif self.deadline[r] < _INF:
+                # No message can beat the deadline: any rank able to send
+                # earlier has a smaller key and runs first.  A queued match
+                # arriving after it stays queued.
+                key = (self.deadline[r], _INF, r)
+                self.matched[r] = _TIMEOUT
+        self.keys[r] = key
+
+    def quiesce(self) -> bool:
+        """No rank is a candidate.  False when all have finished; True when
+        a fence quorum completed and they can run again; else deadlock."""
+        blocked = [r for r in range(self.n) if self.state[r] != _DONE]
+        if not blocked:
+            return False
+        if any(self.state[r] != _FENCE for r in blocked):
+            crash_note = (f" ({len(self.crashed)} rank(s) crashed: "
+                          f"{self.crashed})" if self.crashed else "")
+            raise self.diagnosed(DeadlockError(
+                f"{len(blocked)} rank(s) blocked with no matching "
+                f"messages{crash_note}:\n  {self.report(blocked)}"))
+        # Epoch boundary: every live rank reached its fence and nothing
+        # else can run.  The fence completes at the latest of the entry
+        # clocks and the in-flight write arrivals; every pending write is
+        # applied, then each rank pays the barrier round-trip (one control
+        # send + recv) on top of its wait.
+        t_f = max(max(self.ctxs[r].clock for r in blocked),
+                  max((w.arrival for w in self.rma_pending), default=0.0))
+        self.apply_writes(self.rma_pending)
+        self.rma_pending = []
+        self.epoch_applied.clear()
+        self.dirty.update(blocked)
+        overheads = (self.net.send_overhead, self.net.recv_overhead)
+        for r in blocked:
+            self.wait(r, self.pending[r].category, t_f, overheads, t_f,
+                      "fence")
+        return True
+
+    # -- running a rank -------------------------------------------------------
+
+    def resume(self, r: int, value: Any = None,
+               exc: BaseException | None = None) -> None:
+        """Run rank r's generator until it parks or finishes.
+
+        ``exc`` (RecvTimeout/ChecksumError/AmbiguousRecvError), when given,
+        is thrown into the generator at the yield point instead of sending
+        ``value``.
+        """
+        ctx, gen, handlers = self.ctxs[r], self.gens[r], self.handlers
+        faults, max_events, wd = self.faults, self.max_events, self.wd
+        events = self.events
+        while value is not PARKED:
+            self.events = events = events + 1
+            if events > max_events:
+                raise RuntimeError("simulation exceeded max_events")
+            if events - self.progress > wd:
+                raise self.stalled()
+            if faults is not None and faults.crash_due(r, ctx.clock):
+                self.state[r] = _DONE
+                self.crashed.append(r)
+                self.fault(r, "crash", r, r, None, f"rank {r} crashed")
+                gen.close()
+                return
+            try:
+                if exc is not None:
+                    op, exc = gen.throw(exc), None
+                else:
+                    op = gen.send(value)
+            except StopIteration as stop:
+                self.state[r] = _DONE
+                self.results[r] = stop.value
+                return
+            except Exception as e:
+                # Anything escaping a rank — uncaught RecvTimeout or
+                # ChecksumError, but also kernel sanity errors provoked by
+                # injected faults: attach scheduler diagnostics (sim_time,
+                # fault_events) on the way out.
+                raise self.diagnosed(e)
+            try:
+                handler = handlers[type(op)]
+            except KeyError:
+                raise unknown_op(r, op) from None
+            value = handler(self, ctx, op)
+
+    def op_send(self, ctx: RankCtx, op: SendOp) -> None:
+        self.dirty.add(op.dst)
+        self.inject(ctx, op, self.delivery.send)
+
+    def op_put(self, ctx: RankCtx, op: PutOp) -> None:
+        self.require_one_sided(ctx.rank, "put")
+        if self.rma_strict:
+            r = ctx.rank
+            other = next((w.origin for w in self.rma_pending
+                          if w.dst == op.dst and w.key == op.key
+                          and w.origin != r),
+                         self.epoch_applied.get((op.dst, op.key), r))
+            if other != r:
+                raise self.diagnosed(RMAConflictError(r, op.dst, op.key,
+                                                      other))
+        self.inject(ctx, op, Engine.write)
+
+    def inject(self, ctx: RankCtx, op: SendOp | PutOp,
+               deliver: Callable) -> None:
+        """A send or put leaves ``ctx.rank``: injection overhead on the
+        origin, message accounting, α-β latency in flight;
+        ``deliver(engine, ctx, op, lat)`` queues what lands and returns its
+        message id."""
+        net = self.net
+        t0 = ctx.clock
+        ctx.clock = t0 + net.send_overhead
+        ctx._charge(op.category, net.send_overhead)
+        ctx._charge_msg(op.category, op.nbytes)
+        self.progress = self.events
+        same = self.machine.same_node(ctx.rank, op.dst)
+        lat = net.latency(op.nbytes, same)
+        seq = deliver(self, ctx, op, lat)
+        if self.observers:
+            alpha = net.alpha_intra if same else net.alpha_inter
+            for o in self.observers:
+                o.on_send(ctx.rank, seq, op.nbytes, lat, ctx.phase,
+                          op.category, ctx.sync, op.dst, t0, ctx.clock, alpha)
+
+    def post(self, dst: int, arrival: float, src: int, tag: Hashable,
+             payload: Any, nbytes: int, checksum: int | None = None) -> int:
+        """Queue one message in ``dst``'s mailbox; its id."""
+        seq = self.seq
+        self.mailbox[dst].append(
+            _Message(arrival, seq, src, tag, payload, nbytes, checksum))
+        self.seq = seq + 1
+        return seq
+
+    def write(self, ctx: RankCtx, op: PutOp, lat: float) -> None:
+        """Issue one put: in flight until its origin's next flush/fence."""
+        self.rma_pending.append(_PendingWrite(
+            ctx.clock + lat, self.seq, ctx.rank, op.dst, op.key,
+            _copy_payload(op.payload), op.nbytes))
+        self.seq += 1
+        self.rma_put_bytes += op.nbytes
+        self.rma_live[op.dst] += op.nbytes
+        self.rma_peak[op.dst] = max(self.rma_peak[op.dst],
+                                    self.rma_live[op.dst])
+
+    def op_compute(self, ctx: RankCtx, op: ComputeOp) -> None:
+        t0 = ctx.clock
+        seconds = op.seconds
+        if self.faults is not None:
+            scale = self.faults.compute_scale(ctx.rank, t0)
+            if scale != 1.0:
+                self.fault(ctx.rank, "slowdown", ctx.rank, ctx.rank, None,
+                           f"x{scale:g}")
+                seconds *= scale
+        ctx.clock = t0 + seconds
+        # Zero-second computes still create the (phase, category) label,
+        # so observers are told about them too.
+        ctx._charge(op.category, seconds)
+        if seconds > 0:
+            self.progress = self.events
+        for o in self.observers:
+            o.on_compute(ctx.rank, seconds, ctx.phase, op.category, t0,
+                         ctx.clock, op.flops)
+
+    def op_recv(self, ctx: RankCtx, op: RecvOp):
+        self.state[ctx.rank] = _RECV
+        self.pending[ctx.rank] = op
+        if op.timeout is not None:
+            self.deadline[ctx.rank] = ctx.clock + op.timeout
+        return PARKED
+
+    def op_fence(self, ctx: RankCtx, op: FenceOp):
+        self.require_one_sided(ctx.rank, "fence")
+        self.state[ctx.rank] = _FENCE
+        self.pending[ctx.rank] = op
+        return PARKED
+
+    def op_flush(self, ctx: RankCtx, op: FlushOp) -> None:
+        r = ctx.rank
+        mine = [w for w in self.rma_pending
+                if w.origin == r and (op.dst is None or w.dst == op.dst)]
+        if not mine:
+            return
+        for w in mine:
+            self.rma_pending.remove(w)
+        self.apply_writes(mine)
+        landed = max(w.arrival for w in mine)
+        if landed > ctx.clock:
+            self.wait(r, op.category, landed, (), landed, "flush")
+
+    def op_read(self, ctx: RankCtx, op: ReadOp) -> Any:
+        r = ctx.rank
+        if self.rma_strict:
+            for w in self.rma_pending:
+                if w.dst == r and w.key == op.key:
+                    raise self.diagnosed(RMAConflictError(
+                        r, r, op.key, w.origin, what="read"))
+        if op.key not in self.windows[r]:
+            raise self.diagnosed(RMAError(
+                f"rank {r} read window key {op.key!r} before any put to it "
+                f"was applied (missing flush/fence?)"))
+        return self.windows[r][op.key]
+
+    def require_one_sided(self, r: int, what: str) -> None:
+        if not self.one_sided:
+            raise self.diagnosed(RMAError(
+                f"rank {r} issued a one-sided {what} under fault injection "
+                f"/ reliable transport / tape recording; RMA semantics are "
+                f"defined only on the lossless, unrecorded path"))
+
+    def apply_writes(self, writes: list[_PendingWrite]) -> None:
+        """Land writes on their target windows in (arrival, seq) order —
+        the completion order the network model defines."""
+        for w in sorted(writes, key=lambda w: (w.arrival, w.seq)):
+            self.windows[w.dst][w.key] = w.payload
+            self.rma_live[w.dst] -= w.nbytes
+            self.rma_applied_bytes += w.nbytes
+            self.epoch_applied[(w.dst, w.key)] = w.origin
+
+    # -- completing a wait ----------------------------------------------------
+
+    def wait(self, r: int, category: str, until: float,
+             overheads: tuple[float, ...], arrival: float | None, peer: Any,
+             seq: int | None = None) -> None:
+        """Rank r's blocking wait (recv, timeout, flush, fence) ends at
+        ``until``: idle up to it, pay ``overheads`` one by one, charge the
+        lot to ``category``, tell the observers and make the rank runnable.
+        """
+        ctx = self.ctxs[r]
+        t0 = ctx.clock
+        charged = max(0.0, until - t0)
+        clock = max(t0, until)
+        for o in overheads:
+            clock += o
+            charged += o
+        ctx.clock = clock
+        ctx._charge(category, charged)
+        # An expired deadline is progress only if time passed.
+        if arrival is not None or charged > 0.0:
+            self.progress = self.events
+        if seq is not None:
+            self.delivery.ack(self, ctx, category)
+        for o in self.observers:
+            o.on_recv(r, seq, ctx.phase, category, ctx.sync, t0, arrival,
+                      ctx.clock, peer)
+        self.state[r] = _READY
+        self.pending[r] = None
+        self.deadline[r] = _INF
+
+    def expire(self, r: int) -> None:
+        """Rank r's receive deadline passed with nothing delivered."""
+        spec = self.pending[r]
+        self.wait(r, spec.category, self.deadline[r], (), None, "timeout")
+        self.resume(r, exc=RecvTimeout(r, spec.src, spec.tag, spec.timeout))
+
+    def deliver(self, r: int) -> None:
+        """Hand rank r the message its parked receive matched."""
+        spec, box = self.pending[r], self.mailbox[r]
+        if self.strict_match and spec.src is ANY:
+            srcs = {box[i].src for i in _matching(spec, box)}
+            if len(srcs) >= 2:
+                # The recv is withdrawn without consuming either candidate
+                # (mirrors the ChecksumError flow).
+                self.state[r] = _READY
+                self.pending[r] = None
+                self.deadline[r] = _INF
+                return self.resume(r, exc=AmbiguousRecvError(
+                    r, spec.tag, sorted(srcs)))
+        m = box.pop(self.matched[r])
+        self.wait(r, spec.category, m.arrival, (self.net.recv_overhead,),
+                  m.arrival, m.src, m.seq)
+        self.resume(r, (m.src, m.tag, m.payload),
+                    self.delivery.verify(self, self.ctxs[r], m))
+
+    # -- faults and diagnostics -----------------------------------------------
+
+    def fault(self, rank: int, kind: str, src: int, dst: int, tag: Any = None,
+              note: str = "") -> None:
+        """Log one fault event at ``rank``'s clock and tell the observers."""
+        ctx = self.ctxs[rank]
+        ev = self.faults.record(kind, ctx.clock, src, dst, tag, note)
+        for o in self.observers:
+            o.on_fault(rank, ctx.phase, ev)
+
+    def diagnosed(self, err: Exception) -> Exception:
+        """Attach diagnostics to a typed scheduler error before raising."""
+        err.sim_time = float(max(c.clock for c in self.ctxs))
+        err.fault_events = (list(self.faults.events)
+                            if self.faults is not None else [])
+        return err
+
+    def stalled(self) -> Exception:
+        live = [r for r in range(self.n) if self.state[r] != _DONE]
+        return self.diagnosed(StallError(
+            f"no virtual-clock progress across {self.wd} scheduler events "
+            f"(livelock, not deadlock: {len(live)} rank(s) still "
+            f"live); per-rank state:\n  {self.report(live)}"))
+
+    def report(self, ranks: list[int]) -> str:
+        """The first eight of ``ranks``, one wait + mailbox line each."""
+        detail = "\n  ".join(self.mailbox_summary(r) for r in ranks[:8])
+        more = ("" if len(ranks) <= 8
+                else f"\n  ... and {len(ranks) - 8} more")
+        return f"{detail}{more}"
+
+    def mailbox_summary(self, r: int) -> str:
+        """One rank's wait + pending-mailbox state, for error reports."""
+        box, spec, phase = self.mailbox[r], self.pending[r], self.ctxs[r].phase
+        if self.state[r] == _FENCE:
+            head = (f"rank {r} (phase={phase!r}, at fence tag={spec.tag!r} "
+                    f"waiting for the other live ranks)")
+        elif spec is not None:
+            head = (f"rank {r} (phase={phase!r}, "
+                    f"waiting src={spec.src} tag={spec.tag})")
+        else:
+            head = f"rank {r} (phase={phase!r}, runnable)"
+        if not box:
+            return head + " [mailbox empty]"
+        tags = list(dict.fromkeys(repr(m.tag) for m in sorted(box)))[:3]
+        earliest = min(m.arrival for m in box)
+        return (head + f" [mailbox: {len(box)} pending, earliest arrival "
+                f"{earliest:.3e}s, tags {', '.join(tags)}]")
+
+    def result(self) -> SimResult:
+        ctxs = self.ctxs
+        # Every rank exited; whatever is still in a mailbox was sent but
+        # never received.  Surfaced (never silently discarded) so the
+        # invariant layer can flag protocol leaks in fault-free runs.
+        unconsumed = [UnconsumedMessage(dst=r, src=m.src, tag=m.tag,
+                                        arrival=m.arrival, nbytes=m.nbytes)
+                      for r in range(self.n)
+                      for m in sorted(self.mailbox[r])]
+        unapplied = [UnappliedPut(origin=w.origin, dst=w.dst, key=w.key,
+                                  nbytes=w.nbytes)
+                     for w in sorted(self.rma_pending, key=lambda w: w.seq)]
+        return SimResult(
+            clocks=np.array([c.clock for c in ctxs]),
+            times=[c.times for c in ctxs],
+            sent_msgs=[c.sent_msgs for c in ctxs],
+            sent_bytes=[c.sent_bytes for c in ctxs],
+            marks=[c.marks for c in ctxs],
+            results=self.results,
+            trace=self.tracelog.events if self.tracelog is not None else None,
+            fault_events=(list(self.faults.events)
+                          if self.faults is not None else None),
+            crashed=self.crashed,
+            unconsumed_msgs=unconsumed,
+            rma_put_bytes=self.rma_put_bytes,
+            rma_applied_bytes=self.rma_applied_bytes,
+            rma_peak_bytes=list(self.rma_peak),
+            unapplied_puts=unapplied,
+        )
 
 
 class Simulator:
@@ -608,628 +1310,11 @@ class Simulator:
         Returns a :class:`SimResult`; generator return values become
         ``results``.
         """
-        n = self.nranks
-        ctxs = [RankCtx(r, n, self.machine) for r in range(n)]
-        gens: list[Any] = []
-        for r in range(n):
-            g = rank_fn(ctxs[r])
-            gens.append(g if hasattr(g, "send") else iter(()))
-        state = [_READY] * n
-        pending_recv: list[_RecvOp | None] = [None] * n
-        deadline: list[float | None] = [None] * n
-        results: list[Any] = [None] * n
-        mailbox: list[list[_Message]] = [[] for _ in range(n)]
-        # Scheduling cache: each rank's key and matched message index (or
-        # _TIMEOUT), recomputed only for ranks in ``dirty`` — those whose
-        # state, pending receive or mailbox changed since the last event.
-        inf = float("inf")
-        idle = (inf, inf, n)            # sorts after every real key
-        keys = [idle] * n
-        matched: list[int | None] = [None] * n
-        dirty = set(range(n))
-        seq = 0
-        events = 0
-        started = [False] * n
-        trace: list[TraceEvent] | None = [] if self.trace else None
-        mreg = self.metrics
-        if mreg is not None:
-            mreg.start_run(n, self.machine)
-        rec = self.recorder
-        if rec is not None:
-            for c in ctxs:
-                c._recorder = rec
-        fstate = self.faults.start_run() if self.faults is not None else None
-        transport = self.transport
-        net = self.machine.net
-        rto = transport.base_rto(net) if transport is not None else 0.0
-        crashed: list[int] = []
-        # Watchdog bookkeeping: the event count at the last clock advance.
-        wd = self.watchdog_events
-        wd_progress = 0
-        # One-sided state: per-rank windows, issued-but-unapplied writes,
-        # fence parking, and the strict-mode same-epoch application map.
-        windows: list[dict[Hashable, Any]] = [{} for _ in range(n)]
-        rma_pending: list[_PendingWrite] = []
-        pending_fence: list[_FenceOp | None] = [None] * n
-        fence_t0 = [0.0] * n
-        epoch_applied: dict[tuple[int, Hashable], int] = {}
-        rma_live = [0] * n
-        rma_peak = [0] * n
-        rma_put_bytes = 0
-        rma_applied_bytes = 0
-
-        def apply_writes(writes: list[_PendingWrite]) -> None:
-            """Land writes on their target windows in (arrival, seq) order —
-            the completion order the network model defines."""
-            nonlocal rma_applied_bytes
-            for w in sorted(writes, key=lambda w: (w.arrival, w.seq)):
-                windows[w.dst][w.key] = w.payload
-                rma_live[w.dst] -= w.nbytes
-                rma_applied_bytes += w.nbytes
-                epoch_applied[(w.dst, w.key)] = w.origin
-
-        def fault_trace(ev: FaultEvent, rank: int) -> None:
-            if trace is not None:
-                trace.append(TraceEvent(rank, ev.time, ev.time, "fault",
-                                        ctxs[rank].phase, ev.kind,
-                                        {"src": ev.src, "dst": ev.dst,
-                                         "tag": ev.tag, "note": ev.note}))
-
-        def match(r: int) -> int | None:
-            """Index of the earliest-arriving matching message for rank r."""
-            spec = pending_recv[r]
-            best = None
-            best_key = None
-            for i, m in enumerate(mailbox[r]):
-                if spec.src is not ANY and m.src != spec.src:
-                    continue
-                if spec.tag is not ANY:
-                    if callable(spec.tag):
-                        if not spec.tag(m.tag):
-                            continue
-                    elif m.tag != spec.tag:
-                        continue
-                key = (m.arrival, m.seq)
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-            return best
-
-        def refresh(r: int) -> None:
-            """Recompute rank r's scheduling key; a finished, fenced or
-            unmatched rank without a deadline is not a candidate."""
-            keys[r] = idle
-            if state[r] == _READY:
-                keys[r] = (ctxs[r].clock, 0.0, r)
-            elif state[r] == _RECV:
-                matched[r] = midx = match(r)
-                if midx is not None:
-                    m = mailbox[r][midx]
-                    keys[r] = (max(ctxs[r].clock, m.arrival), m.arrival, r)
-                elif deadline[r] is not None:
-                    # No message can beat the deadline: any rank able to
-                    # send earlier has a smaller key and runs first.
-                    keys[r] = (deadline[r], inf, r)
-                    matched[r] = _TIMEOUT
-
-        def mailbox_summary(r: int) -> str:
-            """One rank's wait + pending-mailbox state, for error reports."""
-            box = mailbox[r]
-            spec = pending_recv[r]
-            if state[r] == _FENCE:
-                head = (f"rank {r} (phase={ctxs[r].phase!r}, at fence "
-                        f"tag={pending_fence[r].tag!r} waiting for the "
-                        f"other live ranks)")
-            elif spec is not None:
-                head = (f"rank {r} (phase={ctxs[r].phase!r}, "
-                        f"waiting src={spec.src} tag={spec.tag})")
-            else:
-                head = f"rank {r} (phase={ctxs[r].phase!r}, runnable)"
-            if not box:
-                return head + " [mailbox empty]"
-            tags = []
-            for m in sorted(box):
-                t = repr(m.tag)
-                if t not in tags:
-                    tags.append(t)
-                if len(tags) == 3:
-                    break
-            earliest = min(m.arrival for m in box)
-            return (head + f" [mailbox: {len(box)} pending, earliest arrival "
-                    f"{earliest:.3e}s, tags {', '.join(tags)}]")
-
-        def transmit(r: int, op: _SendOp, payload: Any, lat: float,
-                     ctx: RankCtx):
-            """Apply fault/transport policy to one send.
-
-            Returns ``(deliver, arrival, decision)``; ``payload`` may be
-            corrupted in place.  Only called when a fault plan or reliable
-            transport is active.
-            """
-            if fstate is None:
-                # Reliable transport without faults: nothing to retransmit.
-                return True, ctx.clock + lat, None
-            delay = 0.0
-            attempt = 0
-            while True:
-                d = fstate.decide(r, op.dst, op.tag, ctx.clock)
-                if d.extra_delay > 0.0:
-                    delay += d.extra_delay
-                    fault_trace(fstate.record(
-                        "delay", ctx.clock, r, op.dst, op.tag,
-                        f"+{d.extra_delay:.3e}s"), r)
-                # Under the reliable envelope a corrupted copy is detected
-                # by its checksum and retransmitted like a drop; without
-                # checksums corruption is undetectable even when "reliable".
-                failed = d.drop or (d.corrupt and transport is not None
-                                    and self.checksums)
-                if d.drop:
-                    fault_trace(fstate.record(
-                        "drop", ctx.clock, r, op.dst, op.tag,
-                        f"attempt {attempt}"), r)
-                if not failed:
-                    if d.corrupt:
-                        if corrupt_payload(payload, fstate.rng):
-                            fault_trace(fstate.record(
-                                "corrupt", ctx.clock, r, op.dst, op.tag,
-                                "bit flip"), r)
-                    if d.duplicate:
-                        kind = ("dup-suppressed" if transport is not None
-                                else "duplicate")
-                        fault_trace(fstate.record(
-                            kind, ctx.clock, r, op.dst, op.tag), r)
-                        d.duplicate = transport is None
-                    if d.reorder:
-                        kind = ("reorder-suppressed" if transport is not None
-                                else "reorder")
-                        fault_trace(fstate.record(
-                            kind, ctx.clock, r, op.dst, op.tag), r)
-                        d.reorder = transport is None
-                    return True, ctx.clock + delay + lat, d
-                if transport is None:
-                    return False, 0.0, None
-                if attempt >= transport.max_retries:
-                    fault_trace(fstate.record(
-                        "lost", ctx.clock, r, op.dst, op.tag,
-                        f"gave up after {attempt} retries"), r)
-                    return False, 0.0, None
-                delay += rto * (transport.backoff ** attempt)
-                attempt += 1
-                # The retransmitted copy is real traffic: count it.
-                ctx._charge_msg(op.category, op.nbytes)
-                if mreg is not None:
-                    mreg.on_retransmit(r, ctx.phase, op.category, op.nbytes)
-                fault_trace(fstate.record(
-                    "retransmit", ctx.clock, r, op.dst, op.tag,
-                    f"attempt {attempt}, backoff {delay:.3e}s"), r)
-
-        def advance(r: int, value: Any, exc: BaseException | None = None) -> None:
-            """Run rank r's generator until it blocks on a recv or finishes.
-
-            ``exc`` (RecvTimeout/ChecksumError) is thrown into the
-            generator at the yield point instead of sending a value.
-            """
-            nonlocal seq, events, wd_progress, rma_put_bytes
-            ctx = ctxs[r]
-            gen = gens[r]
-            while True:
-                events += 1
-                if events > self.max_events:
-                    raise RuntimeError("simulation exceeded max_events")
-                if wd is not None and events - wd_progress > wd:
-                    raise stall_error()
-                if fstate is not None and fstate.crash_due(r, ctx.clock):
-                    state[r] = _DONE
-                    results[r] = None
-                    crashed.append(r)
-                    fault_trace(fstate.record("crash", ctx.clock, r, r, None,
-                                              f"rank {r} crashed"), r)
-                    gen.close()
-                    return
-                try:
-                    if not started[r]:
-                        started[r] = True
-                        op = next(gen)
-                    elif exc is not None:
-                        op = gen.throw(exc)
-                        exc = None
-                    else:
-                        op = gen.send(value)
-                except StopIteration as stop:
-                    state[r] = _DONE
-                    results[r] = stop.value
-                    return
-                except Exception as e:
-                    # Anything escaping a rank — uncaught RecvTimeout or
-                    # ChecksumError, but also kernel sanity errors provoked
-                    # by injected faults: attach scheduler diagnostics
-                    # (sim_time, fault_events) on the way out.
-                    raise finalize_error(e)
-                value = None
-                if isinstance(op, _SendOp):
-                    dirty.add(op.dst)
-                    t0 = ctx.clock
-                    ctx.clock += net.send_overhead
-                    ctx._charge(op.category, net.send_overhead)
-                    ctx._charge_msg(op.category, op.nbytes)
-                    if wd is not None:
-                        wd_progress = events
-                    same = self.machine.same_node(r, op.dst)
-                    lat = net.latency(op.nbytes, same)
-                    msg_seq = None
-                    if fstate is None and transport is None:
-                        mailbox[op.dst].append(
-                            _Message(ctx.clock + lat, seq, r, op.tag,
-                                     _copy_payload(op.payload), op.nbytes))
-                        msg_seq = seq
-                        seq += 1
-                        if rec is not None:
-                            rec.on_send(r, msg_seq, op.nbytes, lat,
-                                        ctx.phase, op.category)
-                    else:
-                        payload = _copy_payload(op.payload)
-                        # Checksum is stamped over the *sent* data, before
-                        # any in-flight corruption, so mismatches surface.
-                        csum = (payload_checksum(payload)
-                                if self.checksums else None)
-                        deliver, arrival, d = transmit(r, op, payload, lat,
-                                                       ctx)
-                        if deliver:
-                            mailbox[op.dst].append(
-                                _Message(arrival, seq, r, op.tag, payload,
-                                         op.nbytes, csum))
-                            msg_seq = seq
-                            seq += 1
-                            if d is not None and d.duplicate:
-                                mailbox[op.dst].append(
-                                    _Message(arrival + lat, seq, r, op.tag,
-                                             _copy_payload(payload),
-                                             op.nbytes, csum))
-                                seq += 1
-                            if d is not None and d.reorder:
-                                self._apply_reorder(mailbox[op.dst], r)
-                    if mreg is not None:
-                        alpha = (net.alpha_intra if same
-                                 else net.alpha_inter)
-                        mreg.on_send(r, ctx.phase, ctx.sync, op.category,
-                                     msg_seq, op.dst, op.nbytes, t0,
-                                     ctx.clock, alpha, lat - alpha)
-                    if trace is not None:
-                        trace.append(TraceEvent(r, t0, ctx.clock, "send",
-                                                ctx.phase, op.category,
-                                                op.dst))
-                elif isinstance(op, _ComputeOp):
-                    t0 = ctx.clock
-                    seconds = op.seconds
-                    if fstate is not None:
-                        scale = fstate.compute_scale(r, ctx.clock)
-                        if scale != 1.0:
-                            fault_trace(fstate.record(
-                                "slowdown", ctx.clock, r, r, None,
-                                f"x{scale:g}"), r)
-                            seconds *= scale
-                    ctx.clock += seconds
-                    ctx._charge(op.category, seconds)
-                    # Zero-second computes still create the (phase,
-                    # category) label above, so the tape keeps them too.
-                    if rec is not None:
-                        rec.on_compute(r, seconds, ctx.phase, op.category)
-                    if mreg is not None and seconds > 0:
-                        mreg.on_compute(r, ctx.phase, op.category, t0,
-                                        ctx.clock, op.flops)
-                    if wd is not None and seconds > 0:
-                        wd_progress = events
-                    if trace is not None and seconds > 0:
-                        trace.append(TraceEvent(r, t0, ctx.clock, "compute",
-                                                ctx.phase, op.category))
-                elif isinstance(op, _RecvOp):
-                    state[r] = _RECV
-                    pending_recv[r] = op
-                    deadline[r] = (ctx.clock + op.timeout
-                                   if op.timeout is not None else None)
-                    return
-                elif isinstance(op, _PutOp):
-                    if (fstate is not None or transport is not None
-                            or rec is not None):
-                        raise finalize_error(RMAError(
-                            f"rank {r} issued a one-sided put under fault "
-                            f"injection / reliable transport / tape "
-                            f"recording; RMA semantics are defined only on "
-                            f"the lossless, unrecorded path"))
-                    if self.rma_strict:
-                        clash = next(
-                            (w for w in rma_pending
-                             if w.dst == op.dst and w.key == op.key
-                             and w.origin != r), None)
-                        prev = epoch_applied.get((op.dst, op.key))
-                        if clash is not None:
-                            raise finalize_error(RMAConflictError(
-                                r, op.dst, op.key, clash.origin))
-                        if prev is not None and prev != r:
-                            raise finalize_error(RMAConflictError(
-                                r, op.dst, op.key, prev))
-                    t0 = ctx.clock
-                    ctx.clock += net.send_overhead
-                    ctx._charge(op.category, net.send_overhead)
-                    ctx._charge_msg(op.category, op.nbytes)
-                    if wd is not None:
-                        wd_progress = events
-                    same = self.machine.same_node(r, op.dst)
-                    lat = net.latency(op.nbytes, same)
-                    rma_pending.append(_PendingWrite(
-                        ctx.clock + lat, seq, r, op.dst, op.key,
-                        _copy_payload(op.payload), op.nbytes))
-                    seq += 1
-                    rma_put_bytes += op.nbytes
-                    rma_live[op.dst] += op.nbytes
-                    rma_peak[op.dst] = max(rma_peak[op.dst],
-                                           rma_live[op.dst])
-                    if mreg is not None:
-                        alpha = (net.alpha_intra if same
-                                 else net.alpha_inter)
-                        mreg.on_send(r, ctx.phase, ctx.sync, op.category,
-                                     None, op.dst, op.nbytes, t0,
-                                     ctx.clock, alpha, lat - alpha)
-                    if trace is not None:
-                        trace.append(TraceEvent(r, t0, ctx.clock, "send",
-                                                ctx.phase, op.category,
-                                                op.dst))
-                elif isinstance(op, _FlushOp):
-                    t0 = ctx.clock
-                    mine = [w for w in rma_pending
-                            if w.origin == r
-                            and (op.dst is None or w.dst == op.dst)]
-                    if mine:
-                        t_done = max(ctx.clock,
-                                     max(w.arrival for w in mine))
-                        wait = t_done - ctx.clock
-                        ctx.clock = t_done
-                        for w in mine:
-                            rma_pending.remove(w)
-                        apply_writes(mine)
-                        if wait > 0:
-                            ctx._charge(op.category, wait)
-                            if wd is not None:
-                                wd_progress = events
-                            if mreg is not None:
-                                mreg.on_wait(r, ctx.phase, ctx.sync,
-                                             op.category, t0, t_done,
-                                             ctx.clock, None, None)
-                            if trace is not None:
-                                trace.append(TraceEvent(
-                                    r, t0, ctx.clock, "wait", ctx.phase,
-                                    op.category, "flush"))
-                elif isinstance(op, _FenceOp):
-                    if (fstate is not None or transport is not None
-                            or rec is not None):
-                        raise finalize_error(RMAError(
-                            f"rank {r} issued a one-sided fence under fault "
-                            f"injection / reliable transport / tape "
-                            f"recording; RMA semantics are defined only on "
-                            f"the lossless, unrecorded path"))
-                    state[r] = _FENCE
-                    pending_fence[r] = op
-                    fence_t0[r] = ctx.clock
-                    return
-                elif isinstance(op, _ReadOp):
-                    if self.rma_strict:
-                        clash = next(
-                            (w for w in rma_pending
-                             if w.dst == r and w.key == op.key), None)
-                        if clash is not None:
-                            raise finalize_error(RMAConflictError(
-                                r, r, op.key, clash.origin, what="read"))
-                    if op.key not in windows[r]:
-                        raise finalize_error(RMAError(
-                            f"rank {r} read window key {op.key!r} before "
-                            f"any put to it was applied (missing "
-                            f"flush/fence?)"))
-                    value = windows[r][op.key]
-                else:
-                    raise TypeError(
-                        f"rank {r} yielded {op!r}; yield "
-                        f"ctx.send/recv/compute/put/flush/fence/read")
-
-        def finalize_error(err: Exception) -> Exception:
-            """Attach diagnostics to a typed scheduler error before raising."""
-            err.sim_time = float(max(c.clock for c in ctxs))
-            err.fault_events = list(fstate.events) if fstate is not None else []
-            return err
-
-        def stall_error() -> Exception:
-            running = [r for r in range(n) if state[r] != _DONE]
-            detail = "\n  ".join(mailbox_summary(r) for r in running[:8])
-            more = ("" if len(running) <= 8
-                    else f"\n  ... and {len(running) - 8} more")
-            return finalize_error(StallError(
-                f"no virtual-clock progress across {wd} scheduler events "
-                f"(livelock, not deadlock: {len(running)} rank(s) still "
-                f"live); per-rank state:\n  {detail}{more}"))
-
-        while True:
-            if wd is not None and events - wd_progress > wd:
-                raise stall_error()
-            for r in dirty:
-                refresh(r)
-            dirty.clear()
-            r = min(keys)[2]
-            if r == n:
-                blocked = [r for r in range(n) if state[r] != _DONE]
-                if not blocked:
-                    break
-                fencing = [r for r in blocked if state[r] == _FENCE]
-                if fencing and len(fencing) == len(blocked):
-                    # Epoch boundary: every live rank reached its fence and
-                    # nothing else can run.  The fence completes at the
-                    # latest of the entry clocks and the in-flight write
-                    # arrivals; every pending write is applied, then each
-                    # rank pays the barrier round-trip (one control send +
-                    # recv) on top of its wait.
-                    t_f = max(max(fence_t0[r] for r in fencing),
-                              max((w.arrival for w in rma_pending),
-                                  default=0.0))
-                    writes = list(rma_pending)
-                    rma_pending.clear()
-                    apply_writes(writes)
-                    epoch_applied.clear()
-                    so, ro = net.send_overhead, net.recv_overhead
-                    dirty.update(fencing)
-                    for r in fencing:
-                        ctx = ctxs[r]
-                        fop = pending_fence[r]
-                        t0 = fence_t0[r]
-                        ctx.clock = t_f + so + ro
-                        ctx._charge(fop.category, (t_f - t0) + so + ro)
-                        if mreg is not None:
-                            mreg.on_wait(r, ctx.phase, ctx.sync,
-                                         fop.category, t0, t_f, ctx.clock,
-                                         None, None)
-                        if trace is not None:
-                            trace.append(TraceEvent(r, t0, ctx.clock,
-                                                    "wait", ctx.phase,
-                                                    fop.category, "fence"))
-                        state[r] = _READY
-                        pending_fence[r] = None
-                    if wd is not None:
-                        wd_progress = events
-                    continue
-                detail = "\n  ".join(mailbox_summary(r) for r in blocked[:8])
-                more = ("" if len(blocked) <= 8
-                        else f"\n  ... and {len(blocked) - 8} more")
-                crash_note = (f" ({len(crashed)} rank(s) crashed: "
-                              f"{crashed})" if crashed else "")
-                raise finalize_error(DeadlockError(
-                    f"{len(blocked)} rank(s) blocked with no matching "
-                    f"messages{crash_note}:\n  {detail}{more}"))
-
-            dirty.add(r)    # every branch below resumes rank r
-            if state[r] == _READY:
-                advance(r, None)
-            elif matched[r] == _TIMEOUT:
-                spec = pending_recv[r]
-                ctx = ctxs[r]
-                t0 = ctx.clock
-                wait = max(0.0, deadline[r] - ctx.clock)
-                ctx.clock = max(ctx.clock, deadline[r])
-                ctx._charge(spec.category, wait)
-                if mreg is not None:
-                    mreg.on_wait(r, ctx.phase, ctx.sync, spec.category,
-                                 t0, None, ctx.clock, None, None)
-                if wd is not None and wait > 0:
-                    wd_progress = events
-                if trace is not None:
-                    trace.append(TraceEvent(r, t0, ctx.clock, "wait",
-                                            ctx.phase, spec.category,
-                                            "timeout"))
-                state[r] = _READY
-                pending_recv[r] = None
-                deadline[r] = None
-                advance(r, None,
-                        exc=RecvTimeout(r, spec.src, spec.tag, spec.timeout))
-            else:
-                spec = pending_recv[r]
-                if self.strict_match and spec.src is ANY:
-                    srcs: set[int] = set()
-                    for m in mailbox[r]:
-                        if spec.tag is not ANY:
-                            if callable(spec.tag):
-                                if not spec.tag(m.tag):
-                                    continue
-                            elif m.tag != spec.tag:
-                                continue
-                        srcs.add(m.src)
-                    if len(srcs) >= 2:
-                        # The recv is withdrawn without consuming either
-                        # candidate (mirrors the ChecksumError flow).
-                        state[r] = _READY
-                        pending_recv[r] = None
-                        deadline[r] = None
-                        advance(r, None, exc=AmbiguousRecvError(
-                            r, spec.tag, sorted(srcs)))
-                        continue
-                m = mailbox[r].pop(matched[r])
-                ctx = ctxs[r]
-                ro = net.recv_overhead
-                t0 = ctx.clock
-                wait = max(0.0, m.arrival - ctx.clock)
-                ctx.clock = max(ctx.clock, m.arrival) + ro
-                ctx._charge(spec.category, wait + ro)
-                if rec is not None:
-                    rec.on_recv(r, m.seq, ctx.phase, spec.category)
-                if wd is not None:
-                    wd_progress = events
-                if transport is not None:
-                    # The envelope acks every delivery: one control send.
-                    ctx.clock += net.send_overhead
-                    ctx._charge(spec.category, net.send_overhead)
-                    ctx._charge_msg("ack", transport.ack_nbytes)
-                    if mreg is not None:
-                        mreg.on_ack(r, ctx.phase, "ack",
-                                    transport.ack_nbytes)
-                if mreg is not None:
-                    mreg.on_wait(r, ctx.phase, ctx.sync, spec.category,
-                                 t0, m.arrival, ctx.clock, m.seq, m.src)
-                if trace is not None:
-                    trace.append(TraceEvent(r, t0, ctx.clock, "wait",
-                                            ctx.phase, spec.category, m.src))
-                state[r] = _READY
-                pending_recv[r] = None
-                deadline[r] = None
-                if m.checksum is not None and self.checksums:
-                    actual = payload_checksum(m.payload)
-                    if actual != m.checksum:
-                        if fstate is not None:
-                            fault_trace(fstate.record(
-                                "checksum-fail", ctx.clock, m.src, r, m.tag),
-                                r)
-                        advance(r, None, exc=ChecksumError(
-                            r, m.src, m.tag, m.checksum, actual))
-                        continue
-                advance(r, (m.src, m.tag, m.payload))
-
-        # Every rank exited; whatever is still in a mailbox was sent but
-        # never received.  Surfaced (never silently discarded) so the
-        # invariant layer can flag protocol leaks in fault-free runs.
-        unconsumed = [UnconsumedMessage(dst=r, src=m.src, tag=m.tag,
-                                        arrival=m.arrival, nbytes=m.nbytes)
-                      for r in range(n)
-                      for m in sorted(mailbox[r])]
-        unapplied = [UnappliedPut(origin=w.origin, dst=w.dst, key=w.key,
-                                  nbytes=w.nbytes)
-                     for w in sorted(rma_pending, key=lambda w: w.seq)]
-        result = SimResult(
-            clocks=np.array([c.clock for c in ctxs]),
-            times=[c.times for c in ctxs],
-            sent_msgs=[c.sent_msgs for c in ctxs],
-            sent_bytes=[c.sent_bytes for c in ctxs],
-            marks=[c.marks for c in ctxs],
-            results=results,
-            trace=trace,
-            fault_events=list(fstate.events) if fstate is not None else None,
-            crashed=crashed,
-            unconsumed_msgs=unconsumed,
-            rma_put_bytes=rma_put_bytes,
-            rma_applied_bytes=rma_applied_bytes,
-            rma_peak_bytes=list(rma_peak),
-            unapplied_puts=unapplied,
-        )
+        engine = Engine(self, rank_fn)
+        engine.run()
+        result = engine.result()
         if self.invariants:
             from repro.check.invariants import check_sim
 
             check_sim(result, faulted=self.faults is not None)
         return result
-
-    @staticmethod
-    def _apply_reorder(box: list[_Message], src: int) -> None:
-        """Swap arrival times of the two newest pending messages from
-        ``src`` in ``box`` (models out-of-order delivery on one link)."""
-        newest = second = None
-        for i, m in enumerate(box):
-            if m.src != src:
-                continue
-            if newest is None or m.seq > box[newest].seq:
-                newest, second = i, newest
-            elif second is None or m.seq > box[second].seq:
-                second = i
-        if newest is not None and second is not None:
-            box[newest].arrival, box[second].arrival = \
-                box[second].arrival, box[newest].arrival

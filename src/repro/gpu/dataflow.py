@@ -49,6 +49,217 @@ class GpuSolveResult:
     nvshmem_bytes: float
 
 
+class _Solve:
+    """The event loop and task model both admission policies share; a
+    policy says when a column whose dependencies are met (:meth:`ready`)
+    gets an SM and what a finished task frees (:meth:`done`)."""
+
+    stall = "GPU dataflow deadlock"
+
+    def __init__(self, plan2d: Plan2D, machine: Machine, rhs, nrhs: int,
+                 u_solve: bool, start_times: dict[int, float]):
+        self.machine, self.gpu = machine, machine.gpu
+        self.rhs, self.nrhs, self.u_solve = rhs, nrhs, u_solve
+        self.size, self.diag_inv = plan2d.sn_size, plan2d.diag_inv
+        self.ranks = ranks = plan2d.grid.grid_ranks(plan2d.z)
+        self.plans = {r: plan2d.plan_of(r) for r in ranks}
+        # Contributions are buffered per (row, producer column) and summed
+        # in canonical column order at solve time (not in event-completion
+        # order, which shifts with ``nrhs``) so each solved column is
+        # bit-identical to a single-RHS solve — see
+        # ``repro.util.matmul_columns``.
+        self.contribs: dict[int, dict[int, dict[int, np.ndarray]]] = {
+            r: {} for r in ranks}
+        self.values: dict[int, dict[int, np.ndarray]] = {r: {} for r in ranks}
+        self.fmod = {r: dict(self.plans[r].fmod0) for r in ranks}
+        self.my_diag = {r: set(self.plans[r].solve_cols) for r in ranks}
+        self.start = {r: start_times.get(r, 0.0) for r in ranks}
+        self.busy = {r: 0.0 for r in ranks}
+        self.occupied = {r: 0.0 for r in ranks}
+        self.finish = dict(self.start)
+        self.nvshmem_msgs = 0
+        self.nvshmem_bytes = 0.0
+        self.events: list = []  # (time, seq, kind, payload)
+        self.seq = 0
+
+    def push(self, t: float, kind: str, payload) -> None:
+        heapq.heappush(self.events, (t, self.seq, kind, payload))
+        self.seq += 1
+
+    def apply_cost(self, r: int, J: int) -> float:
+        """One thread block processes all local blocks of column J at once."""
+        fl = bt = 0.0
+        for _I, blk in self.plans[r].consumer_blocks.get(J, ()):
+            m, k = blk.shape
+            fl += gemm_flops(m, self.nrhs, k)
+            bt += gemm_bytes(m, self.nrhs, k)
+        return self.gpu.op_time(fl, bt, u_solve=self.u_solve) if fl else 0.0
+
+    def send_tree(self, t: float, r: int, J: int, val: np.ndarray) -> None:
+        """Fire one-sided sends to this GPU's children in J's bcast tree."""
+        tree = self.plans[r].bcast_trees.get(J)
+        if tree is None or not tree.contains(r):
+            return
+        for c in tree.children(r):
+            lat = self.gpu.msg_latency(val.nbytes,
+                                       self.machine.same_node(r, c))
+            self.nvshmem_msgs += 1
+            self.nvshmem_bytes += val.nbytes
+            self.push(t + lat, "arrive", (c, J, val))
+
+    def run_task(self, t: float, r: int, J: int) -> None:
+        """Column J's thread block computes on GPU r from time t: a diagonal
+        owner solves ``value(J)`` first; everyone forwards the value down
+        J's tree the moment it exists, then applies the local blocks."""
+        dur = 0.0
+        if J in self.my_diag[r]:
+            w, nrhs = self.size(J), self.nrhs
+            settled = np.zeros((w, nrhs))
+            row = self.contribs[r].pop(J, {})
+            for K in sorted(row):   # canonical column order
+                settled += row[K]
+            self.values[r][J] = matmul_columns(self.diag_inv[J],
+                                               self.rhs[r][J] - settled)
+            dur = self.gpu.op_time(gemm_flops(w, nrhs, w),
+                                   gemm_bytes(w, nrhs, w),
+                                   u_solve=self.u_solve)
+        # else the value was stored by the message event
+        self.send_tree(t + dur, r, J, self.values[r][J])
+        dur += self.apply_cost(r, J)
+        self.busy[r] += dur
+        self.push(t + dur, "done", (r, J))
+
+    def post_contributions(self, t: float, r: int, J: int) -> None:
+        """Apply column J's local blocks (numerics) and release new tasks."""
+        for I, blk in self.plans[r].consumer_blocks.get(J, ()):
+            row = self.contribs[r].setdefault(I, {})
+            arr = matmul_columns(blk, self.values[r][J])
+            row[J] = row[J] + arr if J in row else arr
+            self.fmod[r][I] -= 1
+            if self.fmod[r][I] == 0 and I in self.my_diag[r]:
+                self.ready(t, r, I)
+
+    def run(self) -> GpuSolveResult:
+        for r in self.ranks:
+            for K in self.plans[r].solve_cols:
+                if self.fmod[r].get(K, 0) == 0:
+                    self.ready(self.start[r], r, K)
+            self.admit(self.start[r], r)
+        while self.events:
+            t, _, kind, payload = heapq.heappop(self.events)
+            if kind == "arrive":
+                r, J, val = payload
+                self.values[r][J] = val
+                self.ready(t, r, J)
+            else:
+                r, J = payload
+                self.finish[r] = max(self.finish[r], t)
+                self.done(t, r, J)
+                self.post_contributions(t, r, J)
+                self.admit(t, r)
+        # Sanity: every solve column must have produced a value.
+        for r in self.ranks:
+            missing = self.my_diag[r] - set(self.values[r])
+            if missing:  # pragma: no cover - indicates a dependency bug
+                raise RuntimeError(
+                    f"{self.stall} on rank {r}: {sorted(missing)[:5]}")
+        # Strip non-diag-owned received values so callers see owner values
+        # only.
+        return GpuSolveResult(
+            values={r: {K: self.values[r][K] for K in self.my_diag[r]}
+                    for r in self.ranks},
+            busy=self.busy, occupied=self.occupied, finish=self.finish,
+            nvshmem_msgs=self.nvshmem_msgs, nvshmem_bytes=self.nvshmem_bytes)
+
+
+class _TwoKernel(_Solve):
+    """WAIT/SOLVE (§3.4): waiting columns hold no SM, so any *ready* column
+    may compute, at most ``num_sms`` at a time; the rest queue by readiness.
+    ``occupied`` integrates the time with at least one task computing."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.running = {r: 0 for r in self.ranks}
+        self.waiting: dict[int, list] = {r: [] for r in self.ranks}
+        self.last_t = dict(self.start)
+
+    def ready(self, t: float, r: int, J: int) -> None:
+        if self.running[r] < self.gpu.num_sms:
+            self.occupy(t, r)
+            self.running[r] += 1
+            self.run_task(t, r, J)
+        else:
+            kind = "diag" if J in self.my_diag[r] else "recv"
+            heapq.heappush(self.waiting[r], (t, self.seq, kind, J))
+
+    def occupy(self, t: float, r: int) -> None:
+        """Advance the occupancy integral for GPU r up to time t."""
+        if self.running[r] > 0:
+            self.occupied[r] += max(0.0, t - self.last_t[r])
+        self.last_t[r] = t
+
+    def admit(self, t: float, r: int) -> None:
+        if self.waiting[r] and self.running[r] < self.gpu.num_sms:
+            self.ready(t, r, heapq.heappop(self.waiting[r])[3])
+
+    def done(self, t: float, r: int, J: int) -> None:
+        self.occupy(t, r)
+        self.running[r] -= 1
+
+
+class _SingleKernel(_Solve):
+    """Pre-WAIT/SOLVE NVSHMEM execution model (§3.4's limitation).
+
+    At most ``num_sms`` thread blocks are resident per GPU, admitted in
+    topological column order (ascending for L, descending for U); a
+    resident block spin-waiting on dependencies *occupies its SM* until its
+    work completes.  Admission order is topological across GPUs too, so no
+    deadlock arises — only the concurrency loss the two-kernel fix removes.
+    """
+
+    stall = "single-kernel GPU schedule stalled"
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        # Admission order: every column this GPU has a thread block for.
+        self.admission = {
+            r: sorted(set(p.consumer_blocks) | set(p.solve_cols),
+                      reverse=self.u_solve) for r, p in self.plans.items()}
+        self.cursor = {r: 0 for r in self.ranks}
+        self.resident = {r: 0 for r in self.ranks}
+        self.resident_at: dict[tuple[int, int], float] = {}
+        self.ready_at: dict[tuple[int, int], float] = {}
+
+    def ready(self, t: float, r: int, J: int) -> None:
+        if (r, J) not in self.ready_at:
+            self.ready_at[(r, J)] = t
+            self.maybe_start(t, r, J)
+
+    def maybe_start(self, t: float, r: int, J: int) -> None:
+        """Run task (r, J) to completion once it is both resident and ready
+        (called when it becomes either, so the second call starts it)."""
+        key = (r, J)
+        if key in self.resident_at and key in self.ready_at:
+            self.run_task(max(self.resident_at[key], self.ready_at[key], t),
+                          r, J)
+
+    def admit(self, t: float, r: int) -> None:
+        """Admit further columns up to the SM residency cap."""
+        cols = self.admission[r]
+        while (self.cursor[r] < len(cols)
+               and self.resident[r] < self.gpu.num_sms):
+            J = cols[self.cursor[r]]
+            self.cursor[r] += 1
+            self.resident[r] += 1
+            self.resident_at[(r, J)] = t
+            self.maybe_start(t, r, J)
+
+    def done(self, t: float, r: int, J: int) -> None:
+        # Occupied = residency (includes the spin wait before the start).
+        self.resident[r] -= 1
+        self.occupied[r] += t - self.resident_at[(r, J)]
+
+
 def run_gpu_2d_solve(plan2d: Plan2D, machine: Machine,
                      rhs: dict[int, dict[int, np.ndarray]], nrhs: int,
                      u_solve: bool = False,
@@ -68,320 +279,10 @@ def run_gpu_2d_solve(plan2d: Plan2D, machine: Machine,
     order, and a resident block spin-waiting on its dependencies *blocks
     its SM* — the concurrency restriction the two-kernel trick removes.
     """
-    gpu = machine.gpu
-    if gpu is None:
+    if machine.gpu is None:
         raise ValueError(f"machine {machine.name!r} has no GPU model")
-    grid = plan2d.grid
-    if grid.py != 1:
+    if plan2d.grid.py != 1:
         raise ValueError("GPU 2D solves require Py == 1 (see module docs)")
-    if not two_kernel:
-        return _run_single_kernel(plan2d, machine, rhs, nrhs, u_solve,
-                                  start_times or {})
-    z = plan2d.z
-    ranks = grid.grid_ranks(z)
-    start_times = start_times or {}
-    size = plan2d.sn_size
-    diag_inv = plan2d.diag_inv
-
-    # Per-rank state.
-    # Contributions are buffered per (row, producer column) and summed in
-    # canonical column order at solve time (not in event-completion order,
-    # which shifts with ``nrhs``) so each solved column is bit-identical to
-    # a single-RHS solve — see ``repro.util.matmul_columns``.
-    contribs: dict[int, dict[int, dict[int, np.ndarray]]] = {
-        r: {} for r in ranks}
-    values: dict[int, dict[int, np.ndarray]] = {r: {} for r in ranks}
-    fmod: dict[int, dict[int, int]] = {
-        r: dict(plan2d.plan_of(r).fmod0) for r in ranks}
-    busy = {r: 0.0 for r in ranks}
-    occupied = {r: 0.0 for r in ranks}
-    last_t = {r: start_times.get(r, 0.0) for r in ranks}
-    finish = {r: start_times.get(r, 0.0) for r in ranks}
-    running = {r: 0 for r in ranks}
-    waiting: dict[int, list] = {r: [] for r in ranks}
-    nvshmem_msgs = 0
-    nvshmem_bytes = 0.0
-
-    def add_contrib(r: int, I: int, J: int, arr: np.ndarray) -> None:
-        c = contribs[r].setdefault(I, {})
-        c[J] = c[J] + arr if J in c else arr
-
-    def settled(r: int, I: int) -> np.ndarray:
-        """Sum of row I's contributions, in canonical column order."""
-        out = np.zeros((size(I), nrhs))
-        c = contribs[r].pop(I, None)
-        if c:
-            for J in sorted(c):
-                out += c[J]
-        return out
-
-    def apply_cost(r: int, J: int) -> float:
-        """One thread block processes all local blocks of column J at once."""
-        fl = bt = 0.0
-        for I, blk in plan2d.plan_of(r).consumer_blocks.get(J, ()):
-            m, k = blk.shape
-            fl += gemm_flops(m, nrhs, k)
-            bt += gemm_bytes(m, nrhs, k)
-        if fl == 0.0:
-            return 0.0
-        return gpu.op_time(fl, bt, u_solve=u_solve)
-
-    events: list = []  # (time, seq, kind, payload)
-    seq = 0
-
-    def push(t: float, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, kind, payload))
-        seq += 1
-
-    def release(t: float, kind: str, r: int, J: int) -> None:
-        """A column task became ready at time t on GPU r."""
-        if running[r] < gpu.num_sms:
-            start_task(t, kind, r, J)
-        else:
-            heapq.heappush(waiting[r], (t, seq, kind, J))
-
-    def _occupy(t: float, r: int) -> None:
-        """Advance the occupancy integral for GPU r up to time t."""
-        if running[r] > 0:
-            occupied[r] += max(0.0, t - last_t[r])
-        last_t[r] = t
-
-    def start_task(t: float, kind: str, r: int, J: int) -> None:
-        _occupy(t, r)
-        running[r] += 1
-        plan = plan2d.plan_of(r)
-        if kind == "diag":
-            w = size(J)
-            dur_diag = gpu.op_time(gemm_flops(w, nrhs, w),
-                                   gemm_bytes(w, nrhs, w), u_solve=u_solve)
-            val = matmul_columns(diag_inv[J], rhs[r][J] - settled(r, J))
-            values[r][J] = val
-            send_tree(t + dur_diag, r, J, val)
-            dur = dur_diag + apply_cost(r, J)
-        else:  # recv: value already stored by the message event
-            val = values[r][J]
-            send_tree(t, r, J, val)
-            dur = apply_cost(r, J)
-        busy[r] += dur
-        push(t + dur, "done", (r, J))
-
-    def send_tree(t: float, r: int, J: int, val: np.ndarray) -> None:
-        """Fire one-sided sends to this GPU's children in J's bcast tree."""
-        nonlocal nvshmem_msgs, nvshmem_bytes
-        tree = plan2d.plan_of(r).bcast_trees.get(J)
-        if tree is None or not tree.contains(r):
-            return
-        for c in tree.children(r):
-            lat = gpu.msg_latency(val.nbytes, machine.same_node(r, c))
-            nvshmem_msgs += 1
-            nvshmem_bytes += val.nbytes
-            push(t + lat, "arrive", (c, J, val))
-
-    def post_contributions(t: float, r: int, J: int) -> None:
-        """Apply column J's local blocks (numerics) and release new tasks."""
-        for I, blk in plan2d.plan_of(r).consumer_blocks.get(J, ()):
-            add_contrib(r, I, J, matmul_columns(blk, values[r][J]))
-            fmod[r][I] -= 1
-            if fmod[r][I] == 0 and I in my_diag[r]:
-                release(t, "diag", r, I)
-
-    # Diagonal owners and initially-ready columns.
-    my_diag = {r: set(plan2d.plan_of(r).solve_cols) for r in ranks}
-    for r in ranks:
-        for K in plan2d.plan_of(r).solve_cols:
-            if fmod[r].get(K, 0) == 0:
-                release(start_times.get(r, 0.0), "diag", r, K)
-
-    while events:
-        t, _, kind, payload = heapq.heappop(events)
-        if kind == "arrive":
-            r, J, val = payload
-            values[r][J] = val
-            release(t, "recv", r, J)
-        elif kind == "done":
-            r, J = payload
-            _occupy(t, r)
-            running[r] -= 1
-            finish[r] = max(finish[r], t)
-            post_contributions(t, r, J)
-            if waiting[r] and running[r] < gpu.num_sms:
-                _, _, wkind, wcol = heapq.heappop(waiting[r])
-                start_task(t, wkind, r, wcol)
-
-    # Sanity: every solve column must have produced a value.
-    for r in ranks:
-        missing = my_diag[r] - set(values[r])
-        if missing:  # pragma: no cover - indicates a dependency bug
-            raise RuntimeError(
-                f"GPU dataflow deadlock on rank {r}: {sorted(missing)[:5]}")
-
-    # Strip non-diag-owned received values so callers see owner values only.
-    out_values = {r: {K: values[r][K] for K in my_diag[r]} for r in ranks}
-    return GpuSolveResult(values=out_values, busy=busy, occupied=occupied,
-                          finish=finish, nvshmem_msgs=nvshmem_msgs,
-                          nvshmem_bytes=nvshmem_bytes)
-
-
-def _run_single_kernel(plan2d: Plan2D, machine: Machine,
-                       rhs: dict[int, dict[int, np.ndarray]], nrhs: int,
-                       u_solve: bool,
-                       start_times: dict[int, float]) -> GpuSolveResult:
-    """Pre-WAIT/SOLVE NVSHMEM execution model (§3.4's limitation).
-
-    At most ``num_sms`` thread blocks are resident per GPU, admitted in
-    topological column order (ascending for L, descending for U); a
-    resident block spin-waiting on dependencies *occupies its SM* until its
-    work completes.  Admission order is topological across GPUs too, so no
-    deadlock arises — only the concurrency loss the two-kernel fix removes.
-    """
-    gpu = machine.gpu
-    grid = plan2d.grid
-    ranks = grid.grid_ranks(plan2d.z)
-    size = plan2d.sn_size
-    diag_inv = plan2d.diag_inv
-
-    contribs: dict[int, dict[int, dict[int, np.ndarray]]] = {
-        r: {} for r in ranks}
-    values: dict[int, dict[int, np.ndarray]] = {r: {} for r in ranks}
-    fmod = {r: dict(plan2d.plan_of(r).fmod0) for r in ranks}
-    my_diag = {r: set(plan2d.plan_of(r).solve_cols) for r in ranks}
-    busy = {r: 0.0 for r in ranks}
-    occupied = {r: 0.0 for r in ranks}
-    finish = {r: start_times.get(r, 0.0) for r in ranks}
-    nvshmem_msgs = 0
-    nvshmem_bytes = 0.0
-
-    # Admission order: every column this GPU has a thread block for.
-    admission = {}
-    cursor = {}
-    resident_at: dict[tuple[int, int], float] = {}
-    ready_at: dict[tuple[int, int], float] = {}
-    done_scheduled: set[tuple[int, int]] = set()
-    for r in ranks:
-        plan = plan2d.plan_of(r)
-        cols = set(plan.consumer_blocks) | set(plan.solve_cols)
-        admission[r] = sorted(cols, reverse=u_solve)
-        cursor[r] = 0
-
-    def add_contrib(r: int, I: int, J: int, arr: np.ndarray) -> None:
-        c = contribs[r].setdefault(I, {})
-        c[J] = c[J] + arr if J in c else arr
-
-    def settled(r: int, I: int) -> np.ndarray:
-        out = np.zeros((size(I), nrhs))
-        c = contribs[r].pop(I, None)
-        if c:
-            for J in sorted(c):
-                out += c[J]
-        return out
-
-    def apply_cost(r: int, J: int) -> float:
-        fl = bt = 0.0
-        for I, blk in plan2d.plan_of(r).consumer_blocks.get(J, ()):
-            m, k = blk.shape
-            fl += gemm_flops(m, nrhs, k)
-            bt += gemm_bytes(m, nrhs, k)
-        return gpu.op_time(fl, bt, u_solve=u_solve) if fl else 0.0
-
-    events: list = []
-    seq = 0
-
-    def push(t: float, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, kind, payload))
-        seq += 1
-
-    def send_tree(t: float, r: int, J: int, val: np.ndarray) -> None:
-        nonlocal nvshmem_msgs, nvshmem_bytes
-        tree = plan2d.plan_of(r).bcast_trees.get(J)
-        if tree is None or not tree.contains(r):
-            return
-        for c in tree.children(r):
-            lat = gpu.msg_latency(val.nbytes, machine.same_node(r, c))
-            nvshmem_msgs += 1
-            nvshmem_bytes += val.nbytes
-            push(t + lat, "arrive", (c, J, val))
-
-    def maybe_start(t: float, r: int, J: int) -> None:
-        """If task (r, J) is both resident and ready, run it to completion."""
-        key = (r, J)
-        if key in done_scheduled:
-            return
-        if key not in resident_at or key not in ready_at:
-            return
-        start = max(resident_at[key], ready_at[key], t)
-        if J in my_diag[r]:
-            w = size(J)
-            dur_diag = gpu.op_time(gemm_flops(w, nrhs, w),
-                                   gemm_bytes(w, nrhs, w), u_solve=u_solve)
-            val = matmul_columns(diag_inv[J], rhs[r][J] - settled(r, J))
-            values[r][J] = val
-            send_tree(start + dur_diag, r, J, val)
-            dur = dur_diag + apply_cost(r, J)
-        else:
-            val = values[r][J]
-            send_tree(start, r, J, val)
-            dur = apply_cost(r, J)
-        busy[r] += dur
-        # Occupied = residency (includes the spin wait before `start`).
-        done_scheduled.add(key)
-        push(start + dur, "done", (r, J))
-
-    def admit(t: float, r: int) -> None:
-        """Admit further columns up to the SM residency cap."""
-        while (cursor[r] < len(admission[r])
-               and sum(1 for (rr, _) in resident_at if rr == r)
-               - sum(1 for (rr, _) in done_counted if rr == r)
-               < gpu.num_sms):
-            J = admission[r][cursor[r]]
-            cursor[r] += 1
-            resident_at[(r, J)] = t
-            if J in my_diag[r] and fmod[r].get(J, 0) == 0:
-                ready_at[(r, J)] = t
-            maybe_start(t, r, J)
-
-    done_counted: set[tuple[int, int]] = set()
-
-    def post_contributions(t: float, r: int, J: int) -> None:
-        for I, blk in plan2d.plan_of(r).consumer_blocks.get(J, ()):
-            add_contrib(r, I, J, matmul_columns(blk, values[r][J]))
-            fmod[r][I] -= 1
-            if fmod[r][I] == 0 and I in my_diag[r]:
-                key = (r, I)
-                if key not in ready_at:
-                    ready_at[key] = t
-                    maybe_start(t, r, I)
-
-    for r in ranks:
-        admit(start_times.get(r, 0.0), r)
-
-    while events:
-        t, _, kind, payload = heapq.heappop(events)
-        if kind == "arrive":
-            r, J, val = payload
-            values[r][J] = val
-            key = (r, J)
-            if key not in ready_at:
-                ready_at[key] = t
-                maybe_start(t, r, J)
-        elif kind == "done":
-            r, J = payload
-            key = (r, J)
-            done_counted.add(key)
-            occupied[r] += t - resident_at[key]
-            finish[r] = max(finish[r], t)
-            post_contributions(t, r, J)
-            admit(t, r)
-
-    for r in ranks:
-        missing = my_diag[r] - set(values[r])
-        if missing:  # pragma: no cover - indicates a scheduling bug
-            raise RuntimeError(
-                f"single-kernel GPU schedule stalled on rank {r}: "
-                f"{sorted(missing)[:5]}")
-
-    out_values = {r: {K: values[r][K] for K in my_diag[r]} for r in ranks}
-    return GpuSolveResult(values=out_values, busy=busy, occupied=occupied,
-                          finish=finish, nvshmem_msgs=nvshmem_msgs,
-                          nvshmem_bytes=nvshmem_bytes)
+    policy = _TwoKernel if two_kernel else _SingleKernel
+    return policy(plan2d, machine, rhs, nrhs, u_solve,
+                  start_times or {}).run()

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.comm.simulator import Observer
+
 # Display names for the solvers' phase labels (tables stay keyed by the raw
 # labels so they line up with ``SimResult.time_by(phase=...)``).
 PHASE_NAMES = {
@@ -152,7 +154,7 @@ class SyncStats:
     t_last: float = 0.0
 
 
-class MetricsRegistry:
+class MetricsRegistry(Observer):
     """Per-rank, per-phase observability store for one simulation run.
 
     Create one, pass it to ``Simulator(metrics=reg)`` (or let
@@ -210,11 +212,11 @@ class MetricsRegistry:
             st = self._syncs[name] = SyncStats(name)
         return st
 
-    # -- recording hooks (called by the simulator; observational only) ------
+    # -- the Observer events it keeps (observational only) -------------------
 
-    def on_send(self, rank: int, phase: str, sync: str, category: str,
-                seq: int | None, dst: int, nbytes: int, t0: float, t1: float,
-                alpha: float, beta_time: float) -> None:
+    def on_send(self, rank, seq, nbytes, lat, phase, category, sync, dst,
+                t0, t1, alpha):
+        beta_time = lat - alpha
         st = self._stats(rank, phase, category)
         st.msgs += 1
         st.bytes += nbytes
@@ -236,22 +238,24 @@ class MetricsRegistry:
             ss.t_first = min(ss.t_first, t0)
             ss.t_last = max(ss.t_last, t1)
 
-    def on_compute(self, rank: int, phase: str, category: str,
-                   t0: float, t1: float, flops: float) -> None:
+    def on_compute(self, rank, seconds, phase, category, t0, t1, flops):
+        if seconds <= 0:
+            return
         st = self._stats(rank, phase, category)
         st.compute_time += t1 - t0
         st.flops += flops
         self.ops[rank].append(OpRecord(t0, t1, "compute", phase, category))
 
-    def on_wait(self, rank: int, phase: str, sync: str, category: str,
-                t0: float, arrival: float | None, t1: float,
-                seq: int | None, src: int | None) -> None:
-        """A receive completed (or timed out, ``seq is None``) at ``t1``.
+    def on_recv(self, rank, seq, phase, category, sync, t0, arrival, t1,
+                peer):
+        """A wait completed at ``t1``: a delivery, or (``seq is None``) a
+        timeout, flush or fence.
 
-        ``arrival`` is the consumed message's mailbox arrival; the idle
-        portion of the interval is ``min(max(arrival, t0), t1) - t0`` and
-        the rest is matching/ack overhead.
+        ``arrival`` is when what was waited for landed; the idle portion of
+        the interval is ``min(max(arrival, t0), t1) - t0`` and the rest is
+        matching/ack overhead.
         """
+        src = peer if seq is not None else None
         st = self._stats(rank, phase, category)
         if arrival is None:
             idle = t1 - t0
@@ -271,15 +275,13 @@ class MetricsRegistry:
             ss = self._sync(sync)
             ss.t_last = max(ss.t_last, t1)
 
-    def on_retransmit(self, rank: int, phase: str, category: str,
-                      nbytes: int) -> None:
+    def on_retransmit(self, rank, phase, category, nbytes):
         st = self._stats(rank, phase, category)
         st.retransmits += 1
         st.msgs += 1
         st.bytes += nbytes
 
-    def on_ack(self, rank: int, phase: str, category: str,
-               nbytes: int) -> None:
+    def on_ack(self, rank, phase, category, nbytes):
         st = self._stats(rank, phase, category)
         st.acks += 1
         st.bytes += nbytes

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.backends import REPLAYABLE, Resolved, resolve
 from repro.obs.metrics import MetricsRegistry
 from repro.replay.program import ValueProgram, compile_program
-from repro.replay.tape import Tape, TapeRecorder, from_recorder, validate_tape
+from repro.replay.tape import TapeRecorder, from_recorder, validate_tape
 
 
 class ReplayError(ValueError):
@@ -51,11 +51,15 @@ class ReplayStats:
 
 @dataclass
 class CompiledTape:
-    """A validated tape plus the reusable timing/metrics artifacts."""
+    """What a validated tape leaves behind: the reusable timing/metrics
+    artifacts and the stream's size.  The op streams themselves are dropped
+    once :func:`~repro.replay.tape.validate_tape` has replayed them."""
 
-    tape: Tape
     base: object                # private SimResult template (never aliased)
     metrics: MetricsRegistry    # populated registry of the recording run
+    n_messages: int
+    total_bytes: float
+    n_ops: int
 
 
 @dataclass
@@ -141,8 +145,9 @@ def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
                 f"compiled value program for {algorithm!r} disagrees with "
                 f"its recording run (max abs diff "
                 f"{float(np.max(np.abs(x_prog - x))):.3e})")
-        st.tapes[tkey] = CompiledTape(tape=tape, base=_copy_result(res),
-                                      metrics=reg)
+        st.tapes[tkey] = CompiledTape(
+            base=_copy_result(res), metrics=reg, n_messages=tape.n_messages,
+            total_bytes=tape.total_bytes(), n_ops=tape.n_ops)
         st.stats.records += 1
         report = PerfReport(sim=res, algorithm=algorithm, grid=solver.grid,
                             nrhs=nrhs, metrics=reg if profile else None)
@@ -189,8 +194,8 @@ def replay_info(solver, algorithm: str = "new3d",
         "kernels": prog.kernel_count,
         "registers": prog.nregs,
         "op_counts": prog.op_counts(),
-        "messages": ct.tape.n_messages,
-        "message_bytes": ct.tape.total_bytes(),
-        "tape_ops": ct.tape.n_ops,
+        "messages": ct.n_messages,
+        "message_bytes": ct.total_bytes,
+        "tape_ops": ct.n_ops,
         "est_virtual_time": float(ct.base.clocks.max()),
     }

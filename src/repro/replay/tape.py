@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.comm.simulator import Observer
+
 # Per-rank tape entries (plain tuples):
 #   ("s", seq, nbytes, lat, phase, category)   eager send; posts arrival
 #   ("c", seconds, phase, category)            local compute (incl. 0-second
@@ -35,28 +37,31 @@ class TapeError(RuntimeError):
     """A tape could not be recorded or replayed consistently."""
 
 
-class TapeRecorder:
+class TapeRecorder(Observer):
     """Collects per-rank op streams during one simulated run.
 
     Attach via ``Simulator(..., recorder=rec)``.  Recording is only
     defined for the fault-free, unreliable-transport path (the replay
-    fast path's precondition; faulted solves stay on the simulator).
+    fast path's precondition; faulted solves stay on the simulator): it
+    keeps the tape-relevant prefix of each event and no timeout, flush or
+    fence wait.
     """
 
     def __init__(self, nranks: int):
         self.ops: list[list[tuple]] = [[] for _ in range(nranks)]
 
     def on_send(self, rank: int, seq: int, nbytes: int, lat: float,
-                phase: str, category: str) -> None:
+                phase: str, category: str, *_) -> None:
         self.ops[rank].append(("s", seq, nbytes, lat, phase, category))
 
     def on_compute(self, rank: int, seconds: float, phase: str,
-                   category: str) -> None:
+                   category: str, *_) -> None:
         self.ops[rank].append(("c", seconds, phase, category))
 
-    def on_recv(self, rank: int, seq: int, phase: str,
-                category: str) -> None:
-        self.ops[rank].append(("r", seq, phase, category))
+    def on_recv(self, rank: int, seq: int | None, phase: str,
+                category: str, *_) -> None:
+        if seq is not None:
+            self.ops[rank].append(("r", seq, phase, category))
 
     def on_mark(self, rank: int, name: str) -> None:
         self.ops[rank].append(("m", name))

@@ -110,6 +110,46 @@ def test_recv_timeout_loses_to_earlier_message():
     assert res.results[1] == 2.0
 
 
+def _big_message_arrival():
+    """When an 80 MB message sent by rank 0 at t = 0 lands on rank 1."""
+    net = MACHINE.net
+    return net.send_overhead + net.latency(80_000_000,
+                                           MACHINE.same_node(0, 1))
+
+
+@pytest.mark.parametrize("timeout,delivered", [
+    (1e-9, False),                      # the issue's case: 27 ms too late
+    (_big_message_arrival(), True),     # a tie goes to the message
+    (1.0, True),
+])
+def test_recv_deadline_beats_a_late_message_already_queued(timeout,
+                                                           delivered):
+    """A matching message that is queued when the receive is posted but
+    arrives after the deadline loses to the timeout and stays queued."""
+    def fn(ctx):
+        if ctx.rank == 0:
+            yield ctx.send(1, np.ones(1), tag="big", nbytes=80_000_000)
+            return None
+        try:
+            yield ctx.recv(src=0, tag="big", timeout=timeout)
+        except RecvTimeout:
+            return "timeout"
+        return "delivered"
+
+    res = Simulator(2, MACHINE).run(fn)
+    arrival = _big_message_arrival()
+    if delivered:
+        assert res.results[1] == "delivered"
+        assert res.clocks[1] == arrival + MACHINE.net.recv_overhead
+        assert res.unconsumed_msgs == []
+    else:
+        assert res.results[1] == "timeout"
+        assert res.clocks[1] == timeout
+        [left] = res.unconsumed_msgs
+        assert (left.dst, left.src, left.tag, left.arrival) == \
+            (1, 0, "big", arrival)
+
+
 def test_recv_rejects_nonpositive_timeout():
     def fn(ctx):
         yield ctx.recv(src=0, timeout=0.0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.comm.costmodel import CORI_HASWELL, PERLMUTTER_GPU
-from repro.comm.simulator import Simulator
+from repro.comm.simulator import RMAError, Simulator
 from repro.comm.trees import binary_tree, flat_tree
 from repro.core.solver import SpTRSVSolver
 from repro.core.sparse_allreduce import ancestor_supernodes
@@ -263,3 +263,36 @@ def test_trace_flow_annotations(tmp_path, pz4_solver):
     assert len(flows) == 2 * delivered
     names = [e for e in data["traceEvents"] if e["ph"] == "M"]
     assert len(names) == pz4_solver.grid.nranks
+
+
+def test_any_subset_of_observers_leaves_every_pinned_run_unchanged():
+    """Pure-observer property over the ``sim_digests.json`` programs: with
+    any subset of {metrics, trace, recorder} attached, everything the
+    scheduler decides (clocks, label tables, marks, fault events, crashes,
+    leftovers — or the error and its diagnostics) is what the bare run
+    decides.  Only a one-sided program refuses the recorder, by name."""
+    from itertools import combinations
+
+    from repro.replay import TapeRecorder
+    from tests.test_simulator import _digest, sim_cases
+
+    names = ("metrics", "trace", "recorder")
+    subsets = [c for k in range(4) for c in combinations(names, k)]
+    refused = set()
+    for key, (n, machine, kw, program) in sim_cases().items():
+        outcomes = {}
+        for subset in subsets:
+            attach = {"metrics": MetricsRegistry(), "trace": True,
+                      "recorder": TapeRecorder(n)}
+            observers = {name: attach[name] for name in subset}
+            try:
+                res = Simulator(n, machine, **kw, **observers).run(program())
+                outcomes[subset] = _digest(res, trace=False)
+            except Exception as e:
+                if ("recorder" in subset and isinstance(e, RMAError)
+                        and "tape recording" in str(e)):
+                    refused.add(key)
+                else:
+                    outcomes[subset] = _digest(err=e)
+        assert set(outcomes.values()) == {outcomes[()]}, (key, outcomes)
+    assert refused == {"backend/onesided_put"}

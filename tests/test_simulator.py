@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event message-passing simulator."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -15,8 +17,10 @@ from repro.comm import (
     DeadlockError,
     FaultPlan,
     RecvTimeout,
+    RMAError,
     Simulator,
 )
+from repro.comm.simulator import OPS, Engine
 
 
 MACHINE = CORI_HASWELL
@@ -394,7 +398,7 @@ DIGESTS = os.path.join(os.path.dirname(__file__), "corpus",
                        "sim_digests.json")
 
 
-def _digest(res=None, err=None):
+def _digest(res=None, err=None, trace=True):
     h = hashlib.sha256()
     if err is not None:
         # Scrubbed: predicate-tag addresses, and the payload CRCs a checksum
@@ -411,7 +415,7 @@ def _digest(res=None, err=None):
         [sorted(d.items()) for d in res.sent_bytes],
         [sorted(d.items()) for d in res.marks],
         [(e.rank, e.t0, e.t1, e.kind, e.phase, e.category, e.detail)
-         for e in res.trace or ()],
+         for e in (res.trace or ()) if trace],
         [dataclasses.astuple(e) for e in res.fault_events or ()],
         res.crashed,
         [dataclasses.astuple(m) for m in res.unconsumed_msgs],
@@ -471,7 +475,9 @@ def _lossy_program(ctx):
         yield ctx.send(0, np.full(2, float(i)), tag=("v", i))
 
 
-def sim_digests():
+def sim_cases():
+    """The pinned runs: key -> (nranks, machine, Simulator kwargs, a factory
+    of the rank program)."""
     from repro.core.backends import BACKENDS, resolve
     from repro.core.solver import SpTRSVSolver
     from repro.matrices import make_rhs, poisson2d
@@ -484,10 +490,10 @@ def sim_digests():
     def solve(name, faults=None, **sim_kw):
         solver = solvers[(2, 2, 1) if name == "2d" else (2, 1, 4)]
         run = resolve(name, solver.grid)
-        sim = Simulator(solver.grid.nranks, solver.machine, trace=True,
-                        faults=faults, **sim_kw)
         setup = solver.setup(run.impl, run.tree_kind)
-        return _outcome(sim, run.rank_fn(setup, b[solver.perm], 2))
+        return (solver.grid.nranks, solver.machine,
+                dict(faults=faults, **sim_kw),
+                lambda: run.rank_fn(setup, b[solver.perm], 2))
 
     out = {f"backend/{name}": solve(name) for name in BACKENDS}
     out["new3d/lossy-reliable"] = solve(
@@ -496,22 +502,134 @@ def sim_digests():
     out["new3d/corrupt-checksums"] = solve(
         "new3d", FaultPlan.uniform(seed=14, corrupt=0.02), checksums=True)
     out["new3d/crash"] = solve("new3d", FaultPlan(seed=13, crash={1: 2e-5}))
-    out["program/strict-ambiguous"] = _outcome(
-        Simulator(3, MACHINE, trace=True, strict_match=True), _racy_program)
-    out["program/recv-timeout"] = _outcome(
-        Simulator(3, MACHINE, trace=True), _timeout_program)
-    out["program/dup-reorder"] = _outcome(
-        Simulator(4, MACHINE, trace=True,
-                  faults=FaultPlan.uniform(seed=15, duplicate=0.4,
-                                           reorder=0.4, delay=0.3)),
-        _lossy_program)
+    out["program/strict-ambiguous"] = (
+        3, MACHINE, dict(strict_match=True), lambda: _racy_program)
+    out["program/recv-timeout"] = (3, MACHINE, {}, lambda: _timeout_program)
+    out["program/dup-reorder"] = (
+        4, MACHINE, dict(faults=FaultPlan.uniform(
+            seed=15, duplicate=0.4, reorder=0.4, delay=0.3)),
+        lambda: _lossy_program)
     return out
+
+
+def sim_digests():
+    return {key: _outcome(Simulator(n, machine, trace=True, **kw), fn())
+            for key, (n, machine, kw, fn) in sim_cases().items()}
 
 
 def test_scheduler_digests_match_pinned_corpus():
     with open(DIGESTS) as f:
         pinned = json.load(f)
     assert sim_digests() == pinned
+
+
+# -- one op table, every interpreter ------------------------------------------
+
+
+def _op_program(kind):
+    """The shortest valid two-rank program in which rank 0 yields a
+    ``kind`` op (a flush or read needs a put before it)."""
+    def fn(ctx):
+        if ctx.rank == 1:
+            if kind in ("send", "recv"):
+                yield ctx.recv(src=0, tag="t")
+            if kind == "fence":
+                yield ctx.fence()
+            return
+        if kind in ("send", "recv"):
+            yield ctx.send(1, np.zeros(1), tag="t")
+        elif kind == "compute":
+            yield ctx.compute(1e-6)
+        elif kind == "fence":
+            yield ctx.fence()
+        else:
+            yield ctx.put(0, "k", np.zeros(1))
+            if kind != "put":
+                yield ctx.flush()
+            if kind == "read":
+                yield ctx.read("k")
+
+    return fn
+
+
+@pytest.mark.parametrize("kind", OPS.values())
+def test_every_op_kind_is_handled_by_every_interpreter(kind):
+    """Totality over the op table: the engine and the extractor each have
+    the handler, both run a program that yields the op, and the tape
+    recorder either records it or the run is refused by name."""
+    from repro.analyze.extract import Extractor, extract_schedule
+    from repro.replay import TapeRecorder
+
+    assert callable(getattr(Engine, "op_" + kind))
+    assert callable(getattr(Extractor, "op_" + kind))
+    rank = 1 if kind == "recv" else 0
+    run(2, _op_program(kind))
+    sched = extract_schedule(2, _op_program(kind))
+    assert sched.complete
+    if kind == "compute":
+        assert sched.compute_tails[0][2] == 1
+    else:
+        assert kind in [e.kind for e in sched.events[rank]]
+
+    rec = TapeRecorder(2)
+    try:
+        Simulator(2, MACHINE, recorder=rec).run(_op_program(kind))
+    except RMAError as e:
+        assert "one-sided" in str(e) and "tape recording" in str(e)
+        assert kind in ("put", "flush", "fence", "read")
+    else:
+        assert kind[0] in [op[0] for op in rec.ops[rank]]
+
+
+def test_unknown_yield_is_the_same_error_from_every_interpreter():
+    from repro.analyze.extract import extract_schedule
+
+    def bad_yield(ctx):
+        yield "not an op"
+
+    errors = []
+    for interpret in (lambda: run(1, bad_yield),
+                      lambda: extract_schedule(1, bad_yield)):
+        with pytest.raises(TypeError) as info:
+            interpret()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == (
+        "rank 0 yielded 'not an op'; yield "
+        "ctx.send/recv/compute/put/flush/fence/read")
+
+
+def test_engine_structure_guard():
+    """The rank-program engine stays taken apart: short functions, state on
+    the engine (no ``nonlocal``), dispatch through the op table (no
+    ``isinstance(op, ...)``), and nobody reaches for the simulator's
+    private names."""
+    import repro
+
+    src = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        rel = str(path.relative_to(src))
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{rel}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module == "repro.comm.simulator"):
+                offenders += [f"{where}: imports {a.name}"
+                              for a in node.names if a.name.startswith("_")]
+            if rel not in ("comm/simulator.py", "analyze/extract.py"):
+                continue
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "isinstance"
+                    and ast.unparse(node.args[0]) == "op"):
+                offenders.append(f"{where}: {ast.unparse(node)}")
+            if rel != "comm/simulator.py":
+                continue
+            if isinstance(node, ast.Nonlocal):
+                offenders.append(f"{where}: nonlocal")
+            if (isinstance(node, ast.FunctionDef)
+                    and node.end_lineno - node.lineno + 1 > 80):
+                offenders.append(f"{where}: {node.name} is "
+                                 f"{node.end_lineno - node.lineno + 1} lines")
+    assert not offenders, "\n".join(offenders)
 
 
 if __name__ == "__main__":
