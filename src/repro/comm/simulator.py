@@ -79,7 +79,7 @@ class RMAError(RuntimeError):
     """A one-sided operation was used incorrectly: a window key read before
     any put to it was applied, or an RMA op issued under a configuration
     that does not support one-sided semantics (fault injection, reliable
-    transport, tape recording)."""
+    transport)."""
 
 
 class RMAConflictError(RMAError):
@@ -590,6 +590,11 @@ class Observer:
         rank ``peer`` was delivered, or (``seq is None``) ``peer`` names the
         wait — ``"timeout"`` (``arrival is None``), ``"flush"``, ``"fence"``."""
 
+    def on_flush(self, rank, dst, phase, category):
+        """``rank`` flushed its outstanding puts to ``dst`` (``None``: to
+        every target).  A flush that has to wait for them also completes an
+        ``on_recv`` wait; one that does not is reported here only."""
+
     def on_mark(self, rank, name):
         """``ctx.mark(name)`` on ``rank``."""
 
@@ -812,8 +817,8 @@ class Engine:
         lossless = self.faults is None and sim.transport is None
         self.delivery = (_Eager() if lossless else
                          _Lossy(self.net, sim.transport, sim.checksums))
-        # One-sided semantics exist only where nothing is lost or taped.
-        self.one_sided = lossless and sim.recorder is None
+        # One-sided semantics exist only where nothing is lost.
+        self.one_sided = lossless
         self.ctxs = [RankCtx(r, n, sim.machine, self.observers)
                      for r in range(n)]
         gens = (rank_fn(ctx) for ctx in self.ctxs)
@@ -1062,6 +1067,8 @@ class Engine:
 
     def op_flush(self, ctx: RankCtx, op: FlushOp) -> None:
         r = ctx.rank
+        for o in self.observers:
+            o.on_flush(r, op.dst, ctx.phase, op.category)
         mine = [w for w in self.rma_pending
                 if w.origin == r and (op.dst is None or w.dst == op.dst)]
         if not mine:
@@ -1090,8 +1097,8 @@ class Engine:
         if not self.one_sided:
             raise self.diagnosed(RMAError(
                 f"rank {r} issued a one-sided {what} under fault injection "
-                f"/ reliable transport / tape recording; RMA semantics are "
-                f"defined only on the lossless, unrecorded path"))
+                f"/ reliable transport; RMA semantics are defined only on "
+                f"the lossless path"))
 
     def apply_writes(self, writes: list[_PendingWrite]) -> None:
         """Land writes on their target windows in (arrival, seq) order —

@@ -68,7 +68,7 @@ class Table(dict):
 class ZReduction:
     name: str
     make: Callable              # New3DSetup -> generator fn(ctx, values)
-    replayable: bool = False    # the value-program compiler mirrors it
+    replayable: bool = False    # same solution bits as the compiled "sparse"
 
 
 def _plain(fn):
@@ -85,9 +85,9 @@ def _structure_filtered(s):
 
 Z_REDUCTIONS = Table("allreduce_impl", (
     ZReduction("sparse", _plain(sparse_allreduce), replayable=True),
-    ZReduction("sparse_v2", _structure_filtered),
+    ZReduction("sparse_v2", _structure_filtered, replayable=True),
     ZReduction("naive", _plain(naive_allreduce)),   # the ablation's foil
-    ZReduction("onesided", _plain(onesided_allreduce)),
+    ZReduction("onesided", _plain(onesided_allreduce), replayable=True),
 ))
 
 
@@ -192,11 +192,13 @@ BACKENDS = Table("algorithm", (
     # so ilog2 is ceil(log2 Pz)).
     Backend("baseline3d", _BASELINE3D, ilog2, replayable=True),
     Backend("sparse_allreduce_v2", _NEW3D, _one_sync, z_reduction="sparse_v2",
-            fallback=("baseline3d",), bit_identical_to="new3d"),
+            fallback=("baseline3d",), replayable=True,
+            bit_identical_to="new3d"),
     # RMA primitives refuse to run under injected faults (no typed recovery
     # for half-applied epochs), so a faulty run falls back two-sided first.
     Backend("onesided_put", _NEW3D, _one_sync, z_reduction="onesided",
-            fallback=("new3d", "baseline3d"), bit_identical_to="new3d"),
+            fallback=("new3d", "baseline3d"), replayable=True,
+            bit_identical_to="new3d"),
     # Flattens the grids into one rank pool: no inter-grid structure at all.
     Backend("ca_trsm", _CA_TRSM, _no_sync, plannable=_any_grid),
 ))

@@ -9,9 +9,12 @@ by the same ``(matrix_fingerprint, grid, algorithm)`` identity.
 Two artifact tiers:
 
 - value programs (``(impl, tree_kind)``) — nrhs- and machine-independent;
-- timing tapes (``(impl, tree_kind, level_sync, machine, nrhs)``) — one
-  instrumented recording run each, validated byte-for-byte against its own
-  simulation before being cached (see :mod:`repro.replay.tape`).
+- timing tapes (``(impl, tree_kind, Z reduction, level_sync, machine,
+  nrhs)``) — one instrumented recording run each, validated byte-for-byte
+  against its own simulation before being cached (see
+  :mod:`repro.replay.tape`).  Backends that differ only in the Z reduction
+  share a value program (the table declares them bit-identical and the
+  recording run checks it) but never a tape.
 
 The **recording run is a normal simulated solve** (observation hooks are
 bit-neutral, pinned by PR 2's tests), so the first ``replay=True`` solve
@@ -56,7 +59,9 @@ class CompiledTape:
     once :func:`~repro.replay.tape.validate_tape` has replayed them."""
 
     base: object                # private SimResult template (never aliased)
-    metrics: MetricsRegistry    # populated registry of the recording run
+    # Populated registry of the recording run; only a tape someone solved
+    # with ``profile=True`` has one.
+    metrics: MetricsRegistry | None
     n_messages: int
     total_bytes: float
     n_ops: int
@@ -91,7 +96,16 @@ def _copy_result(base):
                      sent_msgs=[dict(t) for t in base.sent_msgs],
                      sent_bytes=[dict(t) for t in base.sent_bytes],
                      marks=[dict(m) for m in base.marks],
-                     results=[None] * len(base.results))
+                     results=[None] * len(base.results),
+                     rma_put_bytes=base.rma_put_bytes,
+                     rma_applied_bytes=base.rma_applied_bytes,
+                     rma_peak_bytes=list(base.rma_peak_bytes),
+                     unapplied_puts=list(base.unapplied_puts))
+
+
+def _tape_key(run: Resolved, machine, nrhs: int) -> tuple:
+    return (run.impl, run.tree_kind, run.z and run.z.name, run.level_sync,
+            machine.name, nrhs)
 
 
 def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
@@ -110,9 +124,9 @@ def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
             f"compiler covers {REPLAYABLE} — solve without replay=True")
     if run.z is not None and not run.z.replayable:
         raise ReplayError(
-            "replay compiles the sparse allreduce only "
-            "(allreduce_impl='sparse'); the naive ablation stays on the "
-            "simulator")
+            "replay compiles the sparse allreduce and the reductions "
+            "bit-identical to it; the naive ablation "
+            f"(allreduce_impl={run.z.name!r}) stays on the simulator")
     algorithm, impl, kind = run.name, run.impl, run.tree_kind
     st = replay_state(solver)
 
@@ -124,13 +138,13 @@ def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
         st.programs[pkey] = prog
         st.stats.compiles += 1
 
-    tkey = (impl, kind, run.level_sync, machine.name, nrhs)
+    tkey = _tape_key(run, machine, nrhs)
     ct = st.tapes.get(tkey)
-    if ct is None:
-        # Cold: one recording run.  Metrics are always attached so hot
-        # solves can serve ``profile=True`` from the cached registry;
-        # both hooks are bit-neutral for clocks and values.
-        reg = MetricsRegistry()
+    if ct is None or (profile and ct.metrics is None):
+        # Cold: one recording run.  A registry rides along only when this
+        # solve is profiled (a later profiled solve of an unprofiled tape
+        # records again); both hooks are bit-neutral for clocks and values.
+        reg = MetricsRegistry() if profile else None
         rec = TapeRecorder(solver.grid.nranks)
         x, res = solver._solve_cpu(
             run, b_perm, nrhs, machine,
@@ -150,7 +164,7 @@ def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
             total_bytes=tape.total_bytes(), n_ops=tape.n_ops)
         st.stats.records += 1
         report = PerfReport(sim=res, algorithm=algorithm, grid=solver.grid,
-                            nrhs=nrhs, metrics=reg if profile else None)
+                            nrhs=nrhs, metrics=reg)
         return SolveOutcome(x=x[:, 0] if was1d else x, report=report)
 
     # Hot: flat numpy program + validated timing copy.
@@ -182,7 +196,7 @@ def replay_info(solver, algorithm: str = "new3d",
                  replay=True)
     st = replay_state(solver)
     prog = st.programs[(impl, kind)]
-    ct = st.tapes[(impl, kind, run.level_sync, machine.name, nrhs)]
+    ct = st.tapes[_tape_key(run, machine, nrhs)]
     return {
         "algorithm": algorithm,
         "impl": impl,

@@ -31,7 +31,8 @@ over the simulated solve comes from.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.core.sptrsv3d_new import New3DSetup
 from repro.grids.grid3d import BlockCyclicMap
 from repro.util import matmul_columns
 
-# Instruction set (plain tuples, dispatched by opcode string):
+# Instruction set (tuples, dispatched by opcode string):
 #   ("loadb", dst, c0, c1)        regs[dst] = b_perm[c0:c1]          (view)
 #   ("zeros", dst, rows)          regs[dst] = zeros((rows, nrhs))
 #   ("gemm",  dst, ci, src)       regs[dst] = matmul_columns(consts[ci], regs[src])
@@ -56,6 +57,32 @@ from repro.util import matmul_columns
 # definition (accum only mutates its own fresh zeros buffer), so register
 # aliasing — e.g. the allreduce broadcast rebinding a receiver's value to
 # the sender's register — is always safe.
+_OPCODES = ("loadb", "zeros", "gemm", "accum", "solve", "add", "store")
+_LOADB, _ZEROS, _GEMM, _ACCUM, _SOLVE, _ADD, _STORE = range(len(_OPCODES))
+_ARITY = (3, 2, 3, 3, 4, 3, 3)      # operands after the opcode
+
+
+class _Instrs:
+    """An instruction list, unboxed: one row of five C ints per instruction
+    (opcode number, then its operands, zero-padded), an accumulator's
+    sources being a ``[s0, s1)`` range of the flat ``srcs``.  Sized, and
+    iterates as the tuples documented above."""
+
+    def __init__(self, code: array, srcs: array):
+        self.code = np.array(code, dtype=np.intc).reshape(-1, 5)
+        self.srcs = np.array(srcs, dtype=np.intc)
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __iter__(self):
+        srcs = self.srcs
+        for at in range(0, len(self.code), 1024):     # bounded boxing
+            for opc, a, b, c, d in self.code[at:at + 1024].tolist():
+                if opc == _ACCUM:
+                    yield ("accum", a, b, tuple(srcs[c:d].tolist()))
+                else:
+                    yield (_OPCODES[opc], a, b, c, d)[:1 + _ARITY[opc]]
 
 
 class CompileError(RuntimeError):
@@ -70,21 +97,23 @@ class ValueProgram:
     tree_kind: str
     n: int                         # rows of the permuted solution
     nregs: int
-    instrs: list[tuple]
+    instrs: _Instrs
     consts: list[np.ndarray]       # factor blocks / diagonal inverses (refs)
     _vplan: object = field(default=None, repr=False, compare=False)
 
     @property
     def kernel_count(self) -> int:
         """Floating-point kernel calls per execution (gemm/solve/accum/add)."""
-        return sum(1 for ins in self.instrs
-                   if ins[0] in ("gemm", "solve", "accum", "add"))
+        counts = self.op_counts()
+        return sum(counts.get(op, 0)
+                   for op in ("gemm", "solve", "accum", "add"))
 
     def op_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for ins in self.instrs:
-            out[ins[0]] = out.get(ins[0], 0) + 1
-        return out
+        """Instructions per opcode, in order of first appearance."""
+        opcodes = self.instrs.code[:, 0]
+        ops, at = np.unique(opcodes, return_index=True)
+        counts = np.bincount(opcodes)
+        return {_OPCODES[op]: int(counts[op]) for op in ops[np.argsort(at)]}
 
     def execute(self, b_perm: np.ndarray, nrhs: int) -> np.ndarray:
         """Run the compiled solve; returns the permuted-order solution.
@@ -143,6 +172,96 @@ def _layout(M: np.ndarray) -> str:
     return "X"
 
 
+_LAYOUTS = "CFX"                     # _layout() classes, as group keys
+_ACCS, _ADDS, _MATS = range(3)       # what a group of instructions does
+
+
+def _row_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over the pairs, in one pass."""
+    ends = np.cumsum(lengths)
+    return (np.arange(ends[-1] if len(ends) else 0, dtype=np.intp)
+            + np.repeat(starts - (ends - lengths), lengths))
+
+
+def _shaped(a: np.ndarray, *shape: int) -> np.ndarray:
+    """``a`` reshaped in place: it stays its own base, where ``reshape``
+    would keep a second array object per index array and stack alive."""
+    a.shape = shape
+    return a
+
+
+def _register_rows(prog: ValueProgram) -> np.ndarray:
+    """Rows of every register."""
+    code = prog.instrs.code
+    op, reg = code[:, 0], code[:, 1]
+    length = np.zeros(prog.nregs, dtype=np.intp)
+    sel = op == _LOADB
+    length[reg[sel]] = code[sel, 3] - code[sel, 2]
+    sel = (op == _ZEROS) | (op == _ACCUM)
+    length[reg[sel]] = code[sel, 2]
+    sel = (op == _GEMM) | (op == _SOLVE)
+    length[reg[sel]] = [prog.consts[ci].shape[0] for ci in code[sel, 2]]
+    for i in np.flatnonzero(op == _ADD):           # an add may feed an add
+        length[reg[i]] = length[code[i, 2]]
+    return length
+
+
+def _levels(prog: ValueProgram) -> np.ndarray:
+    """DAG depth of every instruction that computes (loads and zero-fills
+    are level 0), in program order."""
+    depth = [0] * prog.nregs
+    levels = []
+    for ins in prog.instrs:
+        kind = ins[0]
+        if kind == "accum":
+            operands = ins[3]
+        elif kind == "gemm":
+            operands = ins[3:]
+        elif kind in ("solve", "add"):
+            operands = ins[-2:]
+        else:
+            continue
+        depth[ins[1]] = lv = 1 + max((depth[s] for s in operands), default=0)
+        levels.append(lv)
+    return np.array(levels, dtype=np.intc)
+
+
+def _call_groups(prog: ValueProgram,
+                 length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The computing instructions in write order, and the seven keys that
+    decide which neighbours share one numpy call (one column each).
+
+    Least significant key first: a neither-contiguous block (not produced
+    by today's plans) runs alone — a group of one multiplies the original
+    array, and gufunc broadcasting runs the core op on its exact strides;
+    then gemm | solve, layout (C, F, neither), k, m, accumulate | add |
+    multiply, DAG depth.  Within a level's accumulators the ones with most
+    sources come first, so those still live in round ``r`` are a prefix;
+    other ties keep program order.  Every operand of a level-L instruction
+    is defined at a strictly lower level, so batching within a level is
+    safe.
+    """
+    consts, code = prog.consts, prog.instrs.code
+    op = code[:, 0]
+    body = np.flatnonzero(np.isin(op, (_GEMM, _ACCUM, _SOLVE, _ADD)))
+    op = op[body]
+    mat = np.flatnonzero((op == _GEMM) | (op == _SOLVE))
+    const = code[body[mat], 2]
+    group = np.zeros((7, len(body)), dtype=np.intc)
+    group[2, mat] = [_LAYOUTS.index(_layout(consts[ci])) for ci in const]
+    group[0] = np.where(group[2] == _LAYOUTS.index("X"), body, 0)
+    group[1] = op == _SOLVE
+    group[3, mat] = [consts[ci].shape[1] for ci in const]
+    group[4, mat] = length[code[body[mat], 1]]       # m: the rows it writes
+    group[5] = _ACCS
+    group[5, op == _ADD] = _ADDS
+    group[5, mat] = _MATS
+    group[6] = _levels(prog)
+    fewest_sources_last = (code[body, 3] - code[body, 4]) * (op == _ACCUM)
+    by_group = np.lexsort((fewest_sources_last, *group))
+    return body[by_group], group[:, by_group]
+
+
 class _VectorPlan:
     """Level-batched executor for one :class:`ValueProgram`.
 
@@ -153,15 +272,21 @@ class _VectorPlan:
     - all GEMM/solve blocks of one ``(m, k)`` shape run as a single
       stacked gufunc matmul ``(G, 1, m, k) @ (G, nrhs, k, 1)``, and
     - all elementwise adds (accumulation rounds, receive-adds) run as one
-      fancy-indexed gather/add/scatter each,
+      gathered add each,
 
     cutting thousands of per-block numpy dispatches down to a few per
-    level.  This is bit-identical to the interpreter because (a) any
-    topological order of an SSA program computes the same values, (b)
-    elementwise ops are columnwise/rowwise independent, and (c) numpy
-    evaluates a stacked matmul as the identical per-slice ``(m, k) @
-    (k, 1)`` BLAS call that :func:`repro.util.matmul_columns` makes —
-    per-column accumulation order and all (pinned by
+    level.  Rows are assigned **in write order** — loads, zero-fills, then
+    per level the accumulators, the adds and each matmul group
+    (:func:`_call_groups`) — so everything a step writes is one slice of
+    the arena: the plan keeps source indices only and no write is a
+    scatter.
+
+    This is bit-identical to the interpreter because (a) any topological
+    order — and any placement — of an SSA program computes the same
+    values, (b) elementwise ops are columnwise/rowwise independent, and
+    (c) numpy evaluates a stacked matmul as the identical per-slice
+    ``(m, k) @ (k, 1)`` BLAS call that :func:`repro.util.matmul_columns`
+    makes — per-column accumulation order and all (pinned by
     ``tests/test_replay.py``).  Per-accumulator add order is preserved by
     executing round ``r`` (every accumulator's ``r``-th source, canonical
     key order) before round ``r + 1``.
@@ -169,162 +294,132 @@ class _VectorPlan:
 
     def __init__(self, prog: ValueProgram):
         consts = prog.consts
-        nregs = prog.nregs
-        length = [0] * nregs
-        depth = [0] * nregs
+        code, srcs = prog.instrs.code, prog.instrs.srcs
+        op, reg = code[:, 0], code[:, 1]
+        length = _register_rows(prog)
+        body, group = _call_groups(prog, length)
 
-        for ins in prog.instrs:
-            op = ins[0]
-            if op == "loadb":
-                length[ins[1]] = ins[3] - ins[2]
-            elif op == "zeros":
-                length[ins[1]] = ins[2]
-            elif op == "gemm":
-                length[ins[1]] = consts[ins[2]].shape[0]
-                depth[ins[1]] = depth[ins[3]] + 1
-            elif op == "accum":
-                length[ins[1]] = ins[2]
-                depth[ins[1]] = 1 + max((depth[s] for s in ins[3]),
-                                        default=0)
-            elif op == "solve":
-                length[ins[1]] = consts[ins[2]].shape[0]
-                depth[ins[1]] = 1 + max(depth[ins[3]], depth[ins[4]])
-            elif op == "add":
-                length[ins[1]] = length[ins[2]]
-                depth[ins[1]] = 1 + max(depth[ins[2]], depth[ins[3]])
+        # Arena rows in write order: loads, zero-fills, the grouped body.
+        order = np.concatenate([np.flatnonzero(op == _LOADB),
+                                np.flatnonzero(op == _ZEROS), body])
+        ends = np.cumsum(length[reg[order]])
+        first = np.empty(prog.nregs, dtype=np.intp)
+        first[reg[order]] = ends - length[reg[order]]
+        ends = ends[len(order) - len(body):].copy()     # of the body only
+        del order
 
-        offs = np.zeros(nregs + 1, dtype=np.intp)
-        np.cumsum(length, out=offs[1:])
-        self.size = int(offs[nregs])
+        def rows(regs: np.ndarray) -> np.ndarray:
+            """Arena rows of ``regs``, concatenated."""
+            return _row_ranges(first[regs], length[regs])
+
+        sel = op == _LOADB
         self.n = prog.n
+        self.size = int(length.sum())
+        self.load_s = _row_ranges(code[sel, 2], length[reg[sel]])
+        self.zero_end = len(self.load_s) + int(
+            length[reg[op == _ZEROS]].sum())
 
-        def rows(reg: int) -> np.ndarray:
-            return np.arange(offs[reg], offs[reg] + length[reg],
-                             dtype=np.intp)
-
-        load_d, load_s = [], []              # arena rows <- b_perm rows
-        store_d, store_s = [], []            # x_perm rows <- arena rows
-        fills = defaultdict(list)            # level -> [row arrays to zero]
-        rounds = defaultdict(list)           # (level, r) -> [(dst, src)]
-        adds = defaultdict(list)             # level -> [(dst, a, b)]
-        mats = defaultdict(list)             # (level, m, k, is_solve)
-        for ins in prog.instrs:
-            op = ins[0]
-            if op == "loadb":
-                load_d.append(rows(ins[1]))
-                load_s.append(np.arange(ins[2], ins[3], dtype=np.intp))
-            elif op == "zeros":
-                fills[0].append(rows(ins[1]))
-            elif op == "gemm":
-                M = consts[ins[2]]
-                mats[(depth[ins[1]], *M.shape, _layout(M), False)].append(
-                    (M, rows(ins[1]), rows(ins[3]), None))
-            elif op == "accum":
-                d = rows(ins[1])
-                fills[depth[ins[1]]].append(d)
-                for r, s in enumerate(ins[3]):
-                    rounds[(depth[ins[1]], r)].append((d, rows(s)))
-            elif op == "solve":
-                M = consts[ins[2]]
-                mats[(depth[ins[1]], *M.shape, _layout(M), True)].append(
-                    (M, rows(ins[1]), rows(ins[3]), rows(ins[4])))
-            elif op == "add":
-                adds[depth[ins[1]]].append(
-                    (rows(ins[1]), rows(ins[2]), rows(ins[3])))
-            else:  # store
-                store_s.append(rows(ins[1]))
-                store_d.append(np.arange(ins[2], ins[3], dtype=np.intp))
-
-        self.load_d = np.concatenate(load_d)
-        self.load_s = np.concatenate(load_s)
-        self.store_d = np.concatenate(store_d)
-        self.store_s = np.concatenate(store_s)
-
-        # stages[level] = (fill, [(dst, src)] by round, (dst, a, b), mat
-        # groups); every operand of a level-L instruction is defined at a
-        # strictly lower level, so batching within a level is safe.
+        # stages[level] = (accumulator end row, [(live end row, src)] by
+        # round, (end row, a, b) of the adds, [(Ms, end row, src, lsum)] of
+        # the mat groups); each starts where the previous write ended.
         self.stages = []
-        for lv in sorted(set(fills) | set(adds)
-                         | {key[0] for key in rounds}
-                         | {key[0] for key in mats}):
-            fill = (np.concatenate(fills[lv]) if lv in fills else None)
-            rnds = []
-            r = 0
-            while (lv, r) in rounds:
-                pairs = rounds[(lv, r)]
-                rnds.append((np.concatenate([p[0] for p in pairs]),
-                             np.concatenate([p[1] for p in pairs])))
-                r += 1
-            add3 = None
-            if lv in adds:
-                trip = adds[lv]
-                add3 = (np.concatenate([t[0] for t in trip]),
-                        np.concatenate([t[1] for t in trip]),
-                        np.concatenate([t[2] for t in trip]))
-            groups = []
-            for key in sorted(k for k in mats if k[0] == lv):
-                ents = mats[key]
-                if key[3] == "X":
-                    # Neither-contiguous blocks (not produced by today's
-                    # plans): keep the original array per entry — gufunc
-                    # broadcasting runs the core op on its exact strides.
-                    for M, d, s_, l_ in ents:
-                        groups.append((M, d[None], s_[None],
-                                       None if l_ is None else l_[None]))
-                    continue
-                if key[3] == "F":
+        changes = np.flatnonzero(
+            (group[:, 1:] != group[:, :-1]).any(axis=0)) + 1
+        for g0, g1 in zip([0, *changes], [*changes, len(body)]):
+            _, is_solve, layout, k, m, kind, lv = group[:, g0]
+            members, end = body[g0:g1], int(ends[g1 - 1])
+            if g0 == 0 or lv != group[6, g0 - 1]:
+                at = int(ends[g0 - 1]) if g0 else self.zero_end
+                self.stages.append([at, [], None, []])
+            stage = self.stages[-1]
+            if kind == _ACCS:
+                s0 = code[members, 3]
+                nsrc = code[members, 4] - s0
+                stage[0] = end
+                for r in range(nsrc[0]):
+                    live = np.count_nonzero(nsrc > r)
+                    stage[1].append((int(ends[g0 + live - 1]),
+                                     rows(srcs[s0[:live] + r])))
+            elif kind == _ADDS:
+                stage[2] = (end, rows(code[members, 2]),
+                            rows(code[members, 3]))
+            else:
+                blocks = [consts[ci] for ci in code[members, 2]]
+                G = len(blocks)
+                if G == 1:
+                    stack = blocks[0][None, None]   # its own strides
+                elif _LAYOUTS[layout] == "F":
                     # Rebuild each slice with the original F-order strides
                     # (8, m*8): BLAS picks its transposed kernel from the
                     # layout, and bit-identity requires the same kernel the
                     # interpreter's ``M @ y`` call gets.
-                    stack = np.ascontiguousarray(
-                        np.stack([e[0].T for e in ents])).transpose(0, 2, 1)
+                    stack = _shaped(np.stack([M.T for M in blocks]),
+                                    G, 1, k, m).transpose(0, 1, 3, 2)
                 else:
-                    stack = np.ascontiguousarray(
-                        np.stack([e[0] for e in ents]))
-                groups.append((
-                    stack[:, None],
-                    np.stack([e[1] for e in ents]),
-                    np.stack([e[2] for e in ents]),
-                    (np.stack([e[3] for e in ents])
-                     if key[4] else None)))
-            self.stages.append((fill, rnds, add3, groups))
+                    stack = _shaped(np.stack(blocks), G, 1, m, k)
+                stage[3].append((
+                    stack, end, _shaped(rows(code[members, 3]), G, k),
+                    (_shaped(rows(code[members, 4]), G, m)
+                     if is_solve else None)))
+        self.stages = [tuple(stage) for stage in self.stages]
+
+        # The stores tile x_perm, so the solution is one gather.
+        sel = np.flatnonzero(op == _STORE)
+        sel = sel[np.argsort(code[sel, 2])]
+        self.store_s = rows(reg[sel])
+        lens = length[reg[sel]]
+        if len(self.store_s) != prog.n or not np.array_equal(
+                code[sel, 2], np.cumsum(lens) - lens):
+            raise CompileError("stores do not tile the solution rows")
 
     def run(self, b_perm: np.ndarray, nrhs: int) -> np.ndarray:
         arena = np.empty((self.size, nrhs))
-        arena[self.load_d] = b_perm[self.load_s]
-        for fill, rnds, add3, groups in self.stages:
-            if fill is not None:
-                arena[fill] = 0.0
-            for dst, src in rnds:
-                arena[dst] = arena[dst] + arena[src]
+        at = len(self.load_s)
+        arena[:at] = b_perm[self.load_s]
+        arena[at:self.zero_end] = 0.0
+        at = self.zero_end
+        for acc_end, rnds, add3, groups in self.stages:
+            arena[at:acc_end] = 0.0
+            for end, src in rnds:
+                dst = arena[at:end]
+                np.add(dst, arena[src], out=dst)
+            at = acc_end
             if add3 is not None:
-                dst, a, b = add3
-                arena[dst] = arena[a] + arena[b]
-            for Ms, dst, src, ls in groups:
+                end, a, b = add3
+                np.add(arena[a], arena[b], out=arena[at:end])
+                at = end
+            for Ms, end, src, ls in groups:
                 x = arena[src]                        # (G, k, nrhs)
                 if ls is not None:
-                    x = x - arena[ls]
+                    np.subtract(x, arena[ls], out=x)
                 xc = np.ascontiguousarray(x.transpose(0, 2, 1))[..., None]
                 out = np.matmul(Ms, xc)               # (G, nrhs, m, 1)
-                arena[dst] = out[..., 0].transpose(0, 2, 1)
-        x_perm = np.empty((self.n, nrhs))
-        x_perm[self.store_d] = arena[self.store_s]
-        return x_perm
+                arena[at:end].reshape(out.shape[0], -1, nrhs)[...] = \
+                    out[..., 0].transpose(0, 2, 1)
+                at = end
+        return arena[self.store_s]
 
 
 class _Emitter:
-    """Accumulates instructions, registers and interned constants."""
+    """Accumulates instructions (packed as :class:`_Instrs` keeps them),
+    registers and interned constants."""
 
     def __init__(self):
-        self.instrs: list[tuple] = []
+        self.code = array("i")
+        self.srcs = array("i")
         self.consts: list[np.ndarray] = []
         self._const_idx: dict[int, int] = {}
         self.nregs = 0
 
-    def _reg(self) -> int:
+    def _emit(self, opc: int, a: int, b: int = 0, c: int = 0,
+              d: int = 0) -> None:
+        self.code.extend((opc, a, b, c, d))
+
+    def _def(self, opc: int, *operands: int) -> int:
+        """Emit an instruction defining a fresh register; the register."""
         r = self.nregs
         self.nregs += 1
+        self._emit(opc, r, *operands)
         return r
 
     def const(self, arr: np.ndarray) -> int:
@@ -336,37 +431,27 @@ class _Emitter:
         return i
 
     def loadb(self, c0: int, c1: int) -> int:
-        r = self._reg()
-        self.instrs.append(("loadb", r, c0, c1))
-        return r
+        return self._def(_LOADB, c0, c1)
 
     def zeros(self, rows: int) -> int:
-        r = self._reg()
-        self.instrs.append(("zeros", r, rows))
-        return r
+        return self._def(_ZEROS, rows)
 
     def gemm(self, ci: int, src: int) -> int:
-        r = self._reg()
-        self.instrs.append(("gemm", r, ci, src))
-        return r
+        return self._def(_GEMM, ci, src)
 
     def accum(self, rows: int, srcs: tuple[int, ...]) -> int:
-        r = self._reg()
-        self.instrs.append(("accum", r, rows, srcs))
-        return r
+        s0 = len(self.srcs)
+        self.srcs.extend(srcs)
+        return self._def(_ACCUM, rows, s0, len(self.srcs))
 
     def solve(self, ci: int, rhs: int, lsum: int) -> int:
-        r = self._reg()
-        self.instrs.append(("solve", r, ci, rhs, lsum))
-        return r
+        return self._def(_SOLVE, ci, rhs, lsum)
 
     def add(self, a: int, b: int) -> int:
-        r = self._reg()
-        self.instrs.append(("add", r, a, b))
-        return r
+        return self._def(_ADD, a, b)
 
     def store(self, src: int, c0: int, c1: int) -> None:
-        self.instrs.append(("store", src, c0, c1))
+        self._emit(_STORE, src, c0, c1)
 
 
 @dataclass
@@ -672,4 +757,5 @@ def compile_program(setup, impl: str, tree_kind: str, n: int) -> ValueProgram:
     em = _Emitter()
     compile_values(em, setup, n)
     return ValueProgram(impl=impl, tree_kind=tree_kind, n=n,
-                        nregs=em.nregs, instrs=em.instrs, consts=em.consts)
+                        nregs=em.nregs, instrs=_Instrs(em.code, em.srcs),
+                        consts=em.consts)

@@ -186,7 +186,8 @@ def test_derived_views_keep_membership_and_order(solvers):
         "ca_trsm"]
     for solver in solvers.values():
         assert candidates(solver) == planner_candidates(solver.grid)
-    assert REPLAYABLE == ("2d", "new3d", "baseline3d")
+    assert REPLAYABLE == ("2d", "new3d", "baseline3d",
+                          "sparse_allreduce_v2", "onesided_put")
     assert REPLAYABLE == tuple(b.name for b in BACKENDS.values()
                                if b.replayable)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.comm.costmodel import CORI_HASWELL, PERLMUTTER_GPU
-from repro.comm.simulator import RMAError, Simulator
+from repro.comm.simulator import Simulator
 from repro.comm.trees import binary_tree, flat_tree
 from repro.core.solver import SpTRSVSolver
 from repro.core.sparse_allreduce import ancestor_supernodes
@@ -270,7 +270,8 @@ def test_any_subset_of_observers_leaves_every_pinned_run_unchanged():
     any subset of {metrics, trace, recorder} attached, everything the
     scheduler decides (clocks, label tables, marks, fault events, crashes,
     leftovers — or the error and its diagnostics) is what the bare run
-    decides.  Only a one-sided program refuses the recorder, by name."""
+    decides — one-sided programs included: puts, flushes and fences are
+    recorded like everything else."""
     from itertools import combinations
 
     from repro.replay import TapeRecorder
@@ -278,7 +279,6 @@ def test_any_subset_of_observers_leaves_every_pinned_run_unchanged():
 
     names = ("metrics", "trace", "recorder")
     subsets = [c for k in range(4) for c in combinations(names, k)]
-    refused = set()
     for key, (n, machine, kw, program) in sim_cases().items():
         outcomes = {}
         for subset in subsets:
@@ -289,10 +289,6 @@ def test_any_subset_of_observers_leaves_every_pinned_run_unchanged():
                 res = Simulator(n, machine, **kw, **observers).run(program())
                 outcomes[subset] = _digest(res, trace=False)
             except Exception as e:
-                if ("recorder" in subset and isinstance(e, RMAError)
-                        and "tape recording" in str(e)):
-                    refused.add(key)
-                else:
-                    outcomes[subset] = _digest(err=e)
+                outcomes[subset] = _digest(err=e)
+        assert len(outcomes) == len(subsets)
         assert set(outcomes.values()) == {outcomes[()]}, (key, outcomes)
-    assert refused == {"backend/onesided_put"}

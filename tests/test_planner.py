@@ -272,8 +272,8 @@ def test_service_planner_requires_cpu():
 
 
 def test_service_skips_replay_for_nonreplayable_backends(A):
-    # The replay compiler only covers the original backends; a serve run
-    # pinned to a zoo backend must fall back to the simulator on cache-hit
+    # The replay compiler does not cover every backend; a serve run pinned
+    # to one it does not must fall back to the simulator on cache-hit
     # batches instead of crashing in the schedule compiler.
     from repro.serve import (
         BatchPolicy,
@@ -288,26 +288,24 @@ def test_service_skips_replay_for_nonreplayable_backends(A):
                         deadline=0.1)
     wl = generate_workload(spec)
     pol = BatchPolicy(max_batch=4, max_wait=1e-3)
-    for alg in ("sparse_allreduce_v2", "ca_trsm"):
-        svc = SolveService(ServiceConfig(px=1, py=1, pz=2,
-                                         machine="cori-haswell",
-                                         max_supernode=8, algorithm=alg),
-                           pol)
-        res = svc.run(wl)
-        assert res.slo.n_completed == len(wl)
-        assert res.n_replayed == 0
-        assert res.slo.cache_hits > 0  # the skip mattered: hits did occur
+    svc = SolveService(ServiceConfig(px=1, py=1, pz=2,
+                                     machine="cori-haswell",
+                                     max_supernode=8, algorithm="ca_trsm"),
+                       pol)
+    res = svc.run(wl)
+    assert res.slo.n_completed == len(wl)
+    assert res.n_replayed == 0
+    assert res.slo.cache_hits > 0  # the skip mattered: hits did occur
 
 
 def test_replay_rejects_nonreplayable_backend(A):
     from repro.replay import REPLAYABLE, ReplayError
 
-    assert "sparse_allreduce_v2" not in REPLAYABLE
     assert "ca_trsm" not in REPLAYABLE
     solver = make_solver(A, (2, 1, 2))
     b = make_rhs(A.shape[0], 1, seed=0)
     with pytest.raises(ReplayError, match="replay does not support"):
-        solver.solve(b, algorithm="sparse_allreduce_v2", replay=True)
+        solver.solve(b, algorithm="ca_trsm", replay=True)
 
 
 def test_cli_planner_log_is_deterministic(tmp_path, capsys):

@@ -556,7 +556,8 @@ def _op_program(kind):
 def test_every_op_kind_is_handled_by_every_interpreter(kind):
     """Totality over the op table: the engine and the extractor each have
     the handler, both run a program that yields the op, and the tape
-    recorder either records it or the run is refused by name."""
+    recorder leaves an entry that tells it from every other kind — except
+    for ``read``, which is timing-free and leaves none."""
     from repro.analyze.extract import Extractor, extract_schedule
     from repro.replay import TapeRecorder
 
@@ -571,14 +572,22 @@ def test_every_op_kind_is_handled_by_every_interpreter(kind):
     else:
         assert kind in [e.kind for e in sched.events[rank]]
 
+    entry = {"send": "s", "recv": "r", "compute": "c", "put": "p",
+             "flush": "f", "fence": "F", "read": None}
+    assert len(set(entry.values())) == len(OPS)
     rec = TapeRecorder(2)
-    try:
-        Simulator(2, MACHINE, recorder=rec).run(_op_program(kind))
-    except RMAError as e:
-        assert "one-sided" in str(e) and "tape recording" in str(e)
-        assert kind in ("put", "flush", "fence", "read")
+    Simulator(2, MACHINE, recorder=rec).run(_op_program(kind))
+    taped = [op[0] for op in rec.ops[rank]]
+    if kind == "read":
+        assert taped == ["p", "f"]          # its put and flush, nothing else
     else:
-        assert kind[0] in [op[0] for op in rec.ops[rank]]
+        assert entry[kind] in taped
+    if kind in ("put", "fence"):
+        # One-sided ops are refused only where messages can be lost.
+        with pytest.raises(RMAError) as info:
+            Simulator(2, MACHINE, reliable=True).run(_op_program(kind))
+        assert "one-sided" in str(info.value)
+        assert "tape recording" not in str(info.value)
 
 
 def test_unknown_yield_is_the_same_error_from_every_interpreter():
