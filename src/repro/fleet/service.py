@@ -395,6 +395,10 @@ class FleetService:
             for c in gone:
                 res.solutions.pop(c.request.id, None)
                 lost.append(c.request)
+            for key, (_prog, jobs) in list(res._panels.items()):
+                jobs[:] = [j for j in jobs if j.batch_id != b.batch_id]
+                if not jobs:
+                    del res._panels[key]
             res.deduped -= len(b.request_ids) - b.size
             if b.replayed:
                 res.n_replayed -= 1
@@ -591,6 +595,7 @@ class FleetService:
                 ws.state = "retired"
             ws.qdepth.record(ws.t, ws.sched.depth())
             res = ws.res
+            ws.svc._flush(res)
             res.slo = build_slo(
                 n_requests=len(res.completions) + len(res.rejections),
                 latencies=[c.latency for c in res.completions],

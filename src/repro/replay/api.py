@@ -21,6 +21,11 @@ bit-neutral, pinned by PR 2's tests), so the first ``replay=True`` solve
 returns exactly what ``replay=False`` would; every later solve of the same
 shape executes the flat program and copies the validated timing result —
 no coroutines, no mailbox, no per-message dispatch.
+
+A hot solve's timing (:func:`replay_hot`) and values (:func:`run_program`)
+are separable: a service may defer a hot batch's values and compute many
+batches of one program as one wide panel (every arena op is
+column-independent).
 """
 
 from __future__ import annotations
@@ -108,6 +113,36 @@ def _tape_key(run: Resolved, machine, nrhs: int) -> tuple:
             machine.name, nrhs)
 
 
+def replay_hot(solver, run: Resolved, nrhs: int, machine, profile: bool):
+    """The hot half of a replay solve: ``(program, report)`` when this
+    shape's timing record is cached, else ``None`` (the solve is cold).
+
+    Counts the replay and copies the timing record; the caller computes
+    the values with :func:`run_program`, now or inside a wider panel.
+    """
+    from repro.core.solver import PerfReport
+
+    st = replay_state(solver)
+    ct = st.tapes.get(_tape_key(run, machine, nrhs))
+    if ct is None or (profile and ct.metrics is None):
+        return None
+    st.stats.replays += 1
+    report = PerfReport(sim=_copy_result(ct.base), algorithm=run.name,
+                        grid=solver.grid, nrhs=nrhs,
+                        metrics=ct.metrics if profile else None)
+    return st.programs[(run.impl, run.tree_kind)], report
+
+
+def run_program(solver, prog: ValueProgram, b_perm: np.ndarray,
+                nrhs: int) -> np.ndarray:
+    """Execute ``prog`` on permuted-order ``b_perm``; ``x`` in the original
+    order."""
+    x_perm = prog.execute(b_perm, nrhs)
+    x = np.empty_like(x_perm)
+    x[solver.perm] = x_perm
+    return x
+
+
 def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
                  was1d: bool, machine, profile: bool):
     """The ``solve(replay=True)`` path; returns a ``SolveOutcome``.
@@ -127,9 +162,13 @@ def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
             "replay compiles the sparse allreduce and the reductions "
             "bit-identical to it; the naive ablation "
             f"(allreduce_impl={run.z.name!r}) stays on the simulator")
+    hot = replay_hot(solver, run, nrhs, machine, profile)
+    if hot is not None:
+        x = run_program(solver, hot[0], b_perm, nrhs)
+        return SolveOutcome(x=x[:, 0] if was1d else x, report=hot[1])
+
     algorithm, impl, kind = run.name, run.impl, run.tree_kind
     st = replay_state(solver)
-
     pkey = (impl, kind)
     prog = st.programs.get(pkey)
     if prog is None:
@@ -138,43 +177,28 @@ def replay_solve(solver, run: Resolved, b_perm: np.ndarray, nrhs: int,
         st.programs[pkey] = prog
         st.stats.compiles += 1
 
-    tkey = _tape_key(run, machine, nrhs)
-    ct = st.tapes.get(tkey)
-    if ct is None or (profile and ct.metrics is None):
-        # Cold: one recording run.  A registry rides along only when this
-        # solve is profiled (a later profiled solve of an unprofiled tape
-        # records again); both hooks are bit-neutral for clocks and values.
-        reg = MetricsRegistry() if profile else None
-        rec = TapeRecorder(solver.grid.nranks)
-        x, res = solver._solve_cpu(
-            run, b_perm, nrhs, machine,
-            sim_kwargs={"metrics": reg, "recorder": rec})
-        tape = from_recorder(rec, machine)
-        validate_tape(tape, res)
-        x_perm_prog = prog.execute(b_perm, nrhs)
-        x_prog = np.empty_like(x_perm_prog)
-        x_prog[solver.perm] = x_perm_prog
-        if not np.array_equal(x_prog, x):
-            raise ReplayMismatch(
-                f"compiled value program for {algorithm!r} disagrees with "
-                f"its recording run (max abs diff "
-                f"{float(np.max(np.abs(x_prog - x))):.3e})")
-        st.tapes[tkey] = CompiledTape(
-            base=_copy_result(res), metrics=reg, n_messages=tape.n_messages,
-            total_bytes=tape.total_bytes(), n_ops=tape.n_ops)
-        st.stats.records += 1
-        report = PerfReport(sim=res, algorithm=algorithm, grid=solver.grid,
-                            nrhs=nrhs, metrics=reg)
-        return SolveOutcome(x=x[:, 0] if was1d else x, report=report)
-
-    # Hot: flat numpy program + validated timing copy.
-    x_perm = prog.execute(b_perm, nrhs)
-    x = np.empty_like(x_perm)
-    x[solver.perm] = x_perm
-    st.stats.replays += 1
-    report = PerfReport(sim=_copy_result(ct.base), algorithm=algorithm,
-                        grid=solver.grid, nrhs=nrhs,
-                        metrics=ct.metrics if profile else None)
+    # Cold: one recording run.  A registry rides along only when this
+    # solve is profiled (a later profiled solve of an unprofiled tape
+    # records again); both hooks are bit-neutral for clocks and values.
+    reg = MetricsRegistry() if profile else None
+    rec = TapeRecorder(solver.grid.nranks)
+    x, res = solver._solve_cpu(
+        run, b_perm, nrhs, machine,
+        sim_kwargs={"metrics": reg, "recorder": rec})
+    tape = from_recorder(rec, machine)
+    validate_tape(tape, res)
+    x_prog = run_program(solver, prog, b_perm, nrhs)
+    if not np.array_equal(x_prog, x):
+        raise ReplayMismatch(
+            f"compiled value program for {algorithm!r} disagrees with "
+            f"its recording run (max abs diff "
+            f"{float(np.max(np.abs(x_prog - x))):.3e})")
+    st.tapes[_tape_key(run, machine, nrhs)] = CompiledTape(
+        base=_copy_result(res), metrics=reg, n_messages=tape.n_messages,
+        total_bytes=tape.total_bytes(), n_ops=tape.n_ops)
+    st.stats.records += 1
+    report = PerfReport(sim=res, algorithm=algorithm, grid=solver.grid,
+                        nrhs=nrhs, metrics=reg)
     return SolveOutcome(x=x[:, 0] if was1d else x, report=report)
 
 

@@ -21,7 +21,9 @@ classic discrete-event serving:
 Because the kernels produce per-column bit-identical solutions (see
 ``matmul_columns``), every request's answer is the same bits whether it
 was solved alone, inside any batch, against a cold factorization or a
-cache hit — asserted by ``tests/test_serve.py``.
+cache hit — asserted by ``tests/test_serve.py``.  So a hot replayed batch
+completes from its timing record and takes its values later, in one panel
+of its program (:data:`PANEL_COLUMNS`), before ``run()`` returns.
 
 Optional integrations: ``profile=True`` attaches a
 :class:`~repro.obs.metrics.MetricsRegistry` per batch and aggregates the
@@ -39,7 +41,7 @@ import numpy as np
 
 from repro.comm.costmodel import MACHINES
 from repro.comm.faults import FaultPlan, FaultSchedule
-from repro.core.backends import is_replayable
+from repro.core.backends import is_replayable, resolve
 from repro.core.solver import Resilience, SpTRSVSolver
 from repro.matrices import (
     InvalidMatrixError,
@@ -51,6 +53,7 @@ from repro.matrices import (
 )
 from repro.numfact import solve_residual, stability_report
 from repro.obs.metrics import PhaseStats
+from repro.replay.api import replay_hot, run_program
 from repro.serve.cache import CacheKey, FactorizationCache
 from repro.serve.scheduler import (
     BatchingScheduler,
@@ -66,6 +69,12 @@ from repro.serve.workload import Request, Workload
 #: accepted completion above this is a *corrupted answer*, the one thing
 #: the degradation contracts forbid outright.
 INTEGRITY_TOL = 1e-8
+
+#: Widest value-program panel a service executes at once.  A hot replayed
+#: batch is dispatched from its timing record and its columns wait in a
+#: per-program panel; the panel runs when the next batch would overflow it
+#: and when the run ends.  Width sweep in ``docs/SERVING.md``.
+PANEL_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -159,6 +168,23 @@ class ServeResult:
     n_verified: int = 0              # completions sampled for integrity
     integrity_failures: list = field(default_factory=list)  # audit records
     n_replayed: int = 0              # batches served by the replay fast path
+    # id(program) -> hot batches whose values are not computed yet; empty
+    # once run() returns.
+    _panels: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+
+@dataclass
+class _Batch:
+    """What a batch's values are checked and fanned out from."""
+
+    solver: SpTRSVSolver
+    B: np.ndarray                    # distinct columns, original row order
+    batch_id: int
+    live: list[Request]
+    col_of: dict                     # dedup key -> column of B
+    faulted: bool
+    algorithm: str
 
 
 class _QueueDepthIntegral:
@@ -335,6 +361,7 @@ class SolveService:
                 setup_total += res.batches[-1].setup_time
                 solve_total += res.batches[-1].solve_time
 
+        self._flush(res)
         qdepth.record(t, sched.depth())
         res.slo = build_slo(
             n_requests=len(workload),
@@ -417,58 +444,93 @@ class SolveService:
             kw["faults"] = self.faults.fork(batch_id)
         if self.resilience is not None:
             kw["resilience"] = self.resilience
-        # Replay fast path: a cache-hit, fault-free CPU batch executes the
+        # Replay fast path: a cache-hit, fault-free CPU batch takes the
         # solver's compiled schedule (bit-identical answers and virtual
         # clocks by construction; see repro.replay).  The first batch of a
         # given shape records — a normal simulated solve — so misses,
         # faulted/resilient batches, and backends the table does not flag
-        # replayable always take the simulator.
-        replays_before = 0
-        from repro.replay import replay_state
+        # replayable always take the simulator.  A hot batch completes from
+        # its timing record; its values wait for the program's panel.
+        kw["replay"] = (self.config.replay and hit
+                        and self.config.device == "cpu"
+                        and is_replayable(algorithm)
+                        and "faults" not in kw and self.resilience is None)
+        hot = None
+        if kw["replay"]:
+            hot = replay_hot(solver, resolve(algorithm, solver.grid),
+                             B.shape[1], solver.machine, self.profile)
+        if hot is not None:
+            prog, report = hot
+            resil = None
+            res.n_replayed += 1
+        else:
+            out = solver.solve_blocked(B, rhs_block=self.policy.max_batch,
+                                       **kw)
+            report, resil = out.report, out.resilience
+        if kw["replay"] and self.invariants:
+            # Replayed batches must still reconcile with the
+            # observability layer: the copied timing result obeys the
+            # same conservation laws as a live simulation.
+            from repro.check.invariants import check_metrics, check_sim
 
-        if (self.config.replay and hit and self.config.device == "cpu"
-                and is_replayable(algorithm)
-                and "faults" not in kw and self.resilience is None):
-            kw["replay"] = True
-            replays_before = replay_state(solver).stats.replays
-        out = solver.solve_blocked(B, rhs_block=self.policy.max_batch, **kw)
-        replayed = False
-        if kw.get("replay"):
-            st = replay_state(solver)
-            replayed = st.stats.replays > replays_before
-            if replayed:
-                res.n_replayed += 1
-            if self.invariants:
-                # Replayed batches must still reconcile with the
-                # observability layer: the copied timing result obeys the
-                # same conservation laws as a live simulation.
-                from repro.check.invariants import check_metrics, check_sim
-
-                check_sim(out.report.sim)
-                if out.report.metrics is not None:
-                    check_metrics(out.report)
-        solve_time = (out.resilience.total_time if out.resilience is not None
-                      else out.report.total_time)
-        if comm is not None and out.report.metrics is not None:
-            comm.add(out.report.metrics.stats())
+            check_sim(report.sim)
+            if report.metrics is not None:
+                check_metrics(report)
+        solve_time = (resil.total_time if resil is not None
+                      else report.total_time)
+        if comm is not None and report.metrics is not None:
+            comm.add(report.metrics.stats())
 
         t_done = t + setup + solve_time
-        X = out.x if out.x.ndim == 2 else out.x[:, None]
         for r in live:
             res.completions.append(Completion(request=r, t_complete=t_done,
                                               batch_id=batch_id))
             if self.keep_solutions:
-                res.solutions[r.id] = X[:, col_of[dedup_key(r)]].copy()
+                res.solutions[r.id] = None      # keeps completion order
         res.batches.append(BatchRecord(
             batch_id=batch_id, matrix=name, scale=scale, size=len(columns),
             request_ids=[r.id for r in live], t_dispatch=t,
             t_complete=t_done, cache_hit=hit, setup_time=setup,
-            solve_time=solve_time, replayed=replayed))
+            solve_time=solve_time, replayed=hot is not None))
         if self.verify_fraction > 0.0:
-            self._verify_batch(solver, live, columns, col_of, X, res,
-                               batch_id, faulted="faults" in kw,
-                               algorithm=algorithm)
+            res.n_verified += sum(1 for r in live if self._sampled(r.id))
+        job = _Batch(solver, B, batch_id, live, col_of, "faults" in kw,
+                     algorithm)
+        if hot is None:
+            self._finish(job, out.x if out.x.ndim == 2 else out.x[:, None],
+                         res)
+            return t_done
+        panel = res._panels.get(id(prog))
+        if panel and sum(j.B.shape[1] for j in panel[1]) + B.shape[1] \
+                > PANEL_COLUMNS:
+            self._flush_panel(res, id(prog))
+        res._panels.setdefault(id(prog), (prog, []))[1].append(job)
         return t_done
+
+    def _flush(self, res: ServeResult) -> None:
+        """Compute every queued hot batch's values (panel by panel)."""
+        for key in list(res._panels):
+            self._flush_panel(res, key)
+
+    def _flush_panel(self, res: ServeResult, key: int) -> None:
+        prog, jobs = res._panels.pop(key)
+        solver = jobs[0].solver
+        B = np.hstack([j.B for j in jobs])
+        X = run_program(solver, prog, B[solver.perm], B.shape[1])
+        c0 = 0
+        for j in jobs:
+            c1 = c0 + j.B.shape[1]
+            self._finish(j, X[:, c0:c1], res)
+            c0 = c1
+
+    def _finish(self, job: _Batch, X: np.ndarray, res: ServeResult) -> None:
+        """Fan one batch's solved columns out to its requests and check the
+        sampled ones."""
+        if self.keep_solutions:
+            for r in job.live:
+                res.solutions[r.id] = X[:, job.col_of[dedup_key(r)]].copy()
+        if self.verify_fraction > 0.0:
+            self._verify_batch(job, X, res)
 
     def _resolve_algorithm(self, solver: SpTRSVSolver, nrhs: int) -> str:
         """The algorithm this batch actually runs.
@@ -492,10 +554,8 @@ class SolveService:
         h = zlib.crc32(f"{self.verify_seed}:{request_id}".encode())
         return (h % 1_000_000) < self.verify_fraction * 1_000_000
 
-    def _verify_batch(self, solver: SpTRSVSolver, live: list[Request],
-                      columns: list[np.ndarray], col_of: dict,
-                      X: np.ndarray, res: ServeResult, batch_id: int,
-                      faulted: bool, algorithm: str | None = None) -> None:
+    def _verify_batch(self, job: _Batch, X: np.ndarray,
+                      res: ServeResult) -> None:
         """Re-check sampled completions of one batch (host-time observer).
 
         Every sampled answer must meet the residual bound; on fault-free
@@ -505,31 +565,27 @@ class SolveService:
         fallback tier whose bits differ, so only the residual applies.
         Failures are recorded — never silently dropped — and surface as
         ``n_integrity_failures`` in the SLO report, where the degradation
-        contracts pin them to zero.
+        contracts pin them to zero.  ``n_verified`` is counted at dispatch
+        (it needs no values); this runs when ``X`` exists.
         """
         checked: set = set()
-        for r in live:
-            if not self._sampled(r.id):
-                continue
-            col = col_of[dedup_key(r)]
-            res.n_verified += 1
-            if col in checked:
+        for r in job.live:
+            col = job.col_of[dedup_key(r)]
+            if col in checked or not self._sampled(r.id):
                 continue            # duplicate shares the verified column
             checked.add(col)
             x = X[:, col]
-            b = columns[col]
-            rel = solve_residual(solver.A, x[:, None], b)
+            b = job.B[:, col]
+            rel = solve_residual(job.solver.A, x[:, None], b[:, None])
             if rel > INTEGRITY_TOL:
                 res.integrity_failures.append(
-                    {"request_id": r.id, "batch_id": batch_id,
+                    {"request_id": r.id, "batch_id": job.batch_id,
                      "kind": "residual", "value": float(rel)})
                 continue
-            if not faulted:
-                ref = solver.solve(b[:, 0],
-                                   algorithm=algorithm
-                                   or self.config.algorithm,
-                                   device=self.config.device).x
+            if not job.faulted:
+                ref = job.solver.solve(b, algorithm=job.algorithm,
+                                       device=self.config.device).x
                 if not np.array_equal(x, ref):
                     res.integrity_failures.append(
-                        {"request_id": r.id, "batch_id": batch_id,
+                        {"request_id": r.id, "batch_id": job.batch_id,
                          "kind": "bit-mismatch", "value": 0.0})

@@ -283,6 +283,46 @@ def test_fleet_all_workers_down_sheds_typed():
     assert check_fleet(wl, res, service=fs) > 0
 
 
+def test_crash_inside_a_replayed_batch_matches_the_simulated_fleet():
+    """A crash that rolls back a hot batch whose values are still queued in
+    its program's panel: solutions, verification counts, integrity records
+    and the SLO (bar the replay counter) equal the same fleet with replay
+    off."""
+    wl = _workload(n=60, rate=1e6)
+
+    def fleet(crash=None, replay=True, verify=1.0):
+        return FleetService(
+            FleetConfig(workers=3), ServiceConfig(**GRID, replay=replay),
+            BatchPolicy(max_batch=4, max_wait=1e-3, queue_bound=64),
+            crash_schedule=crash, keep_solutions=True, invariants=True,
+            verify_fraction=verify)
+
+    probe = fleet(verify=0.0).run(wl)
+    w, hot = max(((i, [b for b in r.batches if b.replayed])
+                  for i, r in probe.workers.items()),
+                 key=lambda wb: len(wb[1]))
+    assert len(hot) >= 4
+    b = hot[3]
+    tc = (b.t_dispatch + b.t_complete) / 2
+    assert b.t_dispatch <= tc < b.t_complete
+    crash = _crash(w, tc, tc + 4e-3)
+    got, ref = fleet(crash).run(wl), fleet(crash, replay=False).run(wl)
+    assert got.counters["n_crashes"] == 1
+    assert got.slo.n_replayed > 0 and ref.slo.n_replayed == 0
+    assert got.slo.n_verified == ref.slo.n_verified == got.slo.n_completed
+    assert [w.integrity_failures for w in got.workers.values()] \
+        == [w.integrity_failures for w in ref.workers.values()]
+    assert list(got.solutions) == list(ref.solutions)
+    for rid, x in ref.solutions.items():
+        assert np.array_equal(got.solutions[rid], x), rid
+
+    def doc(res):
+        d = json.loads(res.slo.to_json())
+        d.pop("n_replayed")
+        return d
+    assert doc(got) == doc(ref)
+
+
 # --------------------------------------------------------- autoscaler
 
 

@@ -683,3 +683,99 @@ def test_fault_schedule_plan_at():
     assert s.end == 3.0
     with pytest.raises(ValueError):
         FaultSchedule(((1.0, 1.0, p),))
+
+
+# -- replayed batches: one wide value-program panel per program --------------
+
+def _one_matrix_requests(n, dup_every=5):
+    """``n`` requests on one matrix; every ``dup_every``-th one repeats its
+    predecessor's solve (same dedup key, adjacent arrival)."""
+    return [Request(id=i, arrival=i * 2e-5, matrix="s2D9pt2048",
+                    scale="tiny", deadline=1.0,
+                    rhs_seed=i - 1 if i % dup_every == 0 and i else i)
+            for i in range(n)]
+
+
+def test_replayed_batches_execute_as_wide_panels(monkeypatch):
+    """Hot batches of one program are computed together, at most
+    PANEL_COLUMNS columns per ``ValueProgram.execute``: every answer is
+    still the bits of a cold single-RHS solve and of the simulated
+    (``replay=False``) service, in completion order, and nothing is left
+    queued when ``run()`` returns."""
+    from repro.replay import ValueProgram, replay_state
+    from repro.serve.service import PANEL_COLUMNS
+
+    calls = []
+    execute = ValueProgram.execute
+
+    def counted(self, b_perm, nrhs):
+        calls.append(nrhs)
+        return execute(self, b_perm, nrhs)
+
+    monkeypatch.setattr(ValueProgram, "execute", counted)
+    wl = Workload(requests=_one_matrix_requests(128))
+    policy = BatchPolicy(max_batch=8, max_wait=1e-4, queue_bound=256)
+    svc = SolveService(CFG, policy, profile=True, invariants=True)
+    res = svc.run(wl)
+    assert res.slo.n_completed == len(wl) and res.deduped > 0
+    assert res._panels == {}
+    assert list(res.solutions) == [c.request.id for c in res.completions]
+    solver = svc.cache.get(svc.cache_key("s2D9pt2048", "tiny"))
+    st = replay_state(solver)
+    assert st.stats.replays == res.n_replayed > 0
+
+    # Greedy packing of the hot batches, in dispatch order, into panels.
+    panels, width = 0, 0
+    for b in res.batches:
+        if b.replayed:
+            if panels == 0 or width + b.size > PANEL_COLUMNS:
+                panels, width = panels + 1, 0
+            width += b.size
+    assert panels > 2
+    # Each recording run cross-checks the program once; the rest are panels.
+    assert len(calls) == st.stats.records + panels
+    assert max(calls) <= PANEL_COLUMNS
+
+    sim = SolveService(ServiceConfig(px=1, py=1, pz=2, replay=False),
+                       policy).run(wl)
+    assert sim.n_replayed == 0
+    # Width-1 solves on a fresh factorization: the first is simulated and
+    # records, the rest execute the program one column at a time.
+    cold = SolveService(CFG)._build_solver("s2D9pt2048", "tiny")
+    xs = {}
+    for r in wl.requests:
+        if r.rhs_seed not in xs:
+            xs[r.rhs_seed] = cold.solve(r.rhs(cold.n), replay=True).x.ravel()
+        assert np.array_equal(res.solutions[r.id], xs[r.rhs_seed]), r.id
+        assert np.array_equal(sim.solutions[r.id], xs[r.rhs_seed]), r.id
+
+
+def test_flush_time_verification_sees_the_flushed_values(monkeypatch):
+    """Verification of a hot batch runs on the panel's values: a one-ulp
+    flip in the executor surfaces as a bit-mismatch of that batch."""
+    from repro.replay.program import _VectorPlan
+
+    wl = Workload(requests=[
+        Request(id=i, arrival=i * 1e-2, matrix="s2D9pt2048", scale="tiny",
+                rhs_seed=i, deadline=i * 1e-2 + 1.0) for i in range(5)])
+    svc = SolveService(CFG, BatchPolicy(max_batch=1, max_wait=0.0),
+                       verify_fraction=1.0, verify_seed=1)
+    first = svc.run(wl)                      # records the width-1 timing
+    assert first.n_replayed > 0 and first.integrity_failures == []
+
+    run = _VectorPlan.run
+    flipped = []
+
+    def flip_once(self, b_perm, nrhs):
+        x = run(self, b_perm, nrhs)
+        if not flipped:
+            flipped.append(nrhs)
+            x[0, 0] = np.nextafter(x[0, 0], np.inf)
+        return x
+
+    monkeypatch.setattr(_VectorPlan, "run", flip_once)
+    res = svc.run(wl)
+    assert res.n_replayed == len(wl) and flipped == [len(wl)]
+    assert res.n_verified == len(wl)
+    assert [(f["batch_id"], f["kind"]) for f in res.integrity_failures] \
+        == [(0, "bit-mismatch")]
