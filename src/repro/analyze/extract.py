@@ -6,8 +6,9 @@ executor and records every send/recv as a
 :class:`~repro.analyze.schedule.Schedule` event.  No cost model is
 consulted: compute ops are discarded, the stub machine prices every
 operation at zero seconds, and delivery follows causal send order instead
-of arrival times.  Payloads are real (zero-filled) arrays so the kernels'
-shape logic runs unchanged, but only ``(tag, nbytes)`` summaries are kept.
+of arrival times.  The programs compute on the shape-only kernel set
+(:data:`repro.kernels.SHAPE`): payloads are zero arrays of the real shapes,
+no arithmetic runs, and only ``(tag, nbytes)`` summaries are kept.
 
 The point: anything proved about the extracted schedule (deadlock
 freedom, match determinism, sync counts — see
@@ -53,6 +54,7 @@ from repro.analyze.schedule import (
     SendEvent,
 )
 from repro.core.backends import Z_REDUCTIONS, resolve
+from repro.kernels import SHAPE
 
 
 class ExtractionLimit(RuntimeError):
@@ -112,7 +114,8 @@ class Extractor:
         n = self.n = nranks
         self.rendezvous = rendezvous
         self.max_events = max_events
-        self.ctxs = [RankCtx(r, n, SYMBOLIC_MACHINE) for r in range(n)]
+        self.ctxs = [RankCtx(r, n, SYMBOLIC_MACHINE, kernels=SHAPE)
+                     for r in range(n)]
         gens = [rank_fn(ctx) for ctx in self.ctxs]
         self.gens = [g if hasattr(g, "send") else (_ for _ in ())
                      for g in gens]

@@ -1,6 +1,6 @@
 """Custom AST lint over the runtime source (``repro lint``).
 
-Eight rules, each catching a pattern that has already bitten this codebase
+Nine rules, each catching a pattern that has already bitten this codebase
 (see ``docs/ANALYSIS.md`` for the catalog with examples):
 
 - **RPR001** ``untagged-wildcard-recv`` — ``recv(src=ANY)`` with no tag
@@ -42,6 +42,10 @@ Eight rules, each catching a pattern that has already bitten this codebase
   a rank program that ends an epochless put leaks an in-flight write the
   runtime never delivers (``sim.rma-conservation``) and the static
   certifier rejects (``unapplied-put``).
+- **RPR009** ``arithmetic-outside-kernels`` — ``matmul_columns`` or
+  ``np.zeros``/``empty``/``array``/``concatenate`` in a rank program
+  (a generator function of a rank-program module, closures included),
+  bypassing ``ctx.kernels`` and so the extractor's shape-only set.
 
 Suppression: a ``# repro: allow[RPR003]`` comment on the flagged line or
 the line directly above silences that rule there (comma-separate several
@@ -106,6 +110,11 @@ RULES: dict[str, tuple[str, str]] = {
         "target window (the static certifier reports it as "
         "unapplied-put and the runtime leaks it as an in-flight write)",
     ),
+    "RPR009": (
+        "arithmetic-outside-kernels",
+        "compute through ctx.kernels (repro.kernels) so the schedule "
+        "extractor's shape-only kernel set can skip the arithmetic",
+    ),
 }
 
 #: Modules under the RPR003 contract: RHS panels flow through these, so any
@@ -120,6 +129,11 @@ KERNEL_MODULE_SUFFIXES = (
     "gpu/solver3d.py",
     "numfact/lu.py",
 )
+
+#: Modules under the RPR009 contract: their generator functions are rank
+#: programs, whose arithmetic belongs to ``ctx.kernels``.
+RANK_PROGRAM_SUFFIXES = KERNEL_MODULE_SUFFIXES[:5]
+_ARRAY_BUILDERS = {"zeros", "empty", "array", "concatenate"}
 
 #: Call targets under the RPR006 contract: inside ``scenarios/`` modules,
 #: these constructors/draws must receive seeds derived from
@@ -241,11 +255,13 @@ def _literal_seed(node: ast.AST | None) -> bool:
 class _Visitor(ast.NodeVisitor):
     def __init__(self, path: str, kernel_module: bool,
                  scenario_module: bool = False,
-                 backend_owner: bool = True):
+                 backend_owner: bool = True, rank_module: bool = False):
         self.path = path
         self.kernel_module = kernel_module
         self.scenario_module = scenario_module
         self.backend_owner = backend_owner
+        self.rank_module = rank_module
+        self.generators: list[bool] = []   # enclosing defs, innermost last
         self.findings: list[Finding] = []
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
@@ -294,6 +310,12 @@ class _Visitor(ast.NodeVisitor):
             self._add(node, "RPR007",
                       f"direct backend construction {name}() outside the "
                       "runtime packages that own it")
+        if (self.rank_module and any(self.generators)
+                and (name == "matmul_columns"
+                     or (name in _ARRAY_BUILDERS
+                         and _base_name(node.func) in {"np", "numpy"}))):
+            self._add(node, "RPR009",
+                      f"{name}() in a rank program bypasses ctx.kernels")
         self.generic_visit(node)
 
     def _check_rng(self, node: ast.Call, name: str | None) -> None:
@@ -378,15 +400,16 @@ class _Visitor(ast.NodeVisitor):
                 self._add(d, "RPR005",
                           f"mutable default argument in {node.name}()")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(self, node) -> None:
         self._check_defaults(node)
         self._check_unfenced_puts(node)
+        self.generators.append(any(
+            isinstance(n, (ast.Yield, ast.YieldFrom))
+            for n in self._walk_local(node)))
         self.generic_visit(node)
+        self.generators.pop()
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_unfenced_puts(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
 
 def lint_source(source: str, path: str) -> list[Finding]:
@@ -395,8 +418,10 @@ def lint_source(source: str, path: str) -> list[Finding]:
     kernel = any(norm.endswith(sfx) for sfx in KERNEL_MODULE_SUFFIXES)
     scenario = "scenarios/" in norm or norm.endswith("scenarios.py")
     owner = any(frag in norm for frag in BACKEND_OWNER_FRAGMENTS)
+    rank = any(norm.endswith(sfx) for sfx in RANK_PROGRAM_SUFFIXES)
     tree = ast.parse(source, filename=path)
-    v = _Visitor(path, kernel, scenario, backend_owner=owner)
+    v = _Visitor(path, kernel, scenario, backend_owner=owner,
+                 rank_module=rank)
     v.visit(tree)
     lines = source.splitlines()
     return sorted((f for f in v.findings if not _is_suppressed(f, lines)),

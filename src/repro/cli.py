@@ -631,7 +631,7 @@ def cmd_planner(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Custom AST lint over the runtime (rules RPR001-RPR008)."""
+    """Custom AST lint over the runtime (rules RPR001-RPR009)."""
     from repro.analyze import run_lint
 
     try:
@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="custom AST lint over the runtime (rules RPR001-RPR008)")
+        help="custom AST lint over the runtime (rules RPR001-RPR009)")
     p.add_argument("paths", nargs="+",
                    help="Python files or directories to lint")
     p.set_defaults(func=cmd_lint)

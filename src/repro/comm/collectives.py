@@ -93,12 +93,12 @@ def reduce(ctx: RankCtx, members: list[int], root: int, value: np.ndarray,
         ctx.set_sync(sync)
     idx = (members.index(ctx.rank) - ridx) % size
     parent, children = _binomial_peers(idx, size)
-    acc = np.array(value, copy=True)
+    acc = ctx.kernels.copy(value)
     # Receive from children in ascending order: smaller subtrees finish first.
     for c in children:
         _, _, v = yield ctx.recv(src=members[(c + ridx) % size], tag=tag,
                                  category=category, timeout=timeout)
-        acc = op(acc, v)
+        acc = ctx.kernels.combine(op, acc, v)
     if parent >= 0:
         yield ctx.send(members[(parent + ridx) % size], acc, tag=tag,
                        category=category)

@@ -52,6 +52,7 @@ from repro.comm.faults import (
     corrupt_payload,
     payload_checksum,
 )
+from repro.kernels import NUMERIC
 
 
 class _AnyType:
@@ -279,14 +280,17 @@ class _LabelScope:
 
 
 class RankCtx:
-    """Per-rank handle: build ops to ``yield`` and accumulate timing."""
+    """Per-rank handle: build ops to ``yield`` and accumulate timing.
+    ``kernels``: the arithmetic the program computes through
+    (:mod:`repro.kernels`), numeric unless the extractor says otherwise."""
 
     def __init__(self, rank: int, nranks: int, machine,
-                 observers: "Iterable[Observer]" = ()):
+                 observers: "Iterable[Observer]" = (), kernels=NUMERIC):
         self.rank = rank
         self.nranks = nranks
         self.machine = machine
         self.observers = observers
+        self.kernels = kernels
         self.clock = 0.0
         self.phase = ""
         self.sync = ""

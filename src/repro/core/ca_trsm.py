@@ -39,7 +39,6 @@ from repro.comm.simulator import RankCtx
 from repro.core.plan2d import u_blockrows
 from repro.grids.grid3d import Grid3D
 from repro.numfact.lu import BlockSparseLU
-from repro.util import matmul_columns
 
 
 @dataclass
@@ -131,8 +130,9 @@ def ca_trsm_rank_fn(setup: CaTrsmSetup, b_perm: np.ndarray, nrhs: int):
 
     def rank_fn(ctx: RankCtx):
         r = ctx.rank
+        kz = ctx.kernels
         mine = [K for K in range(lu.nsup) if K % P == r]
-        rhs = {K: np.array(b_perm[part.first(K):part.last(K)], copy=True)
+        rhs = {K: kz.copy(b_perm[part.first(K):part.last(K)])
                for K in mine}
         # Buffered contributions: row -> {source column -> partial};
         # materialized in canonical source order, never arrival order.
@@ -140,15 +140,10 @@ def ca_trsm_rank_fn(setup: CaTrsmSetup, b_perm: np.ndarray, nrhs: int):
 
         def add_contrib(I: int, K: int, arr: np.ndarray) -> None:
             c = contribs.setdefault(I, {})
-            c[K] = c[K] + arr if K in c else arr
+            c[K] = kz.add(c[K], arr) if K in c else arr
 
         def materialize(I: int) -> np.ndarray:
-            out = np.zeros((part.size(I), nrhs))
-            c = contribs.pop(I, None)
-            if c:
-                for K in sorted(c):
-                    out += c[K]
-            return out
+            return kz.accumulate(part.size(I), nrhs, contribs.pop(I, None))
 
         def run_phase(levels, senders, adj, blocks, diag_inv, rhs_in, tagp):
             """One triangular sweep; returns the solved owned subvectors."""
@@ -160,15 +155,15 @@ def ca_trsm_rank_fn(setup: CaTrsmSetup, b_perm: np.ndarray, nrhs: int):
                         continue
                     w = part.size(K)
                     yield ctx.gemm(w, nrhs, w, category="fp")
-                    val = matmul_columns(diag_inv[K],
-                                         rhs_in[K] - materialize(K))
+                    val = kz.gemm(diag_inv[K],
+                                  kz.sub(rhs_in[K], materialize(K)))
                     values[K] = val
                     for I in adj[K]:
                         I = int(I)
                         blk = blocks[(I, K)]
                         m, k = blk.shape
                         yield ctx.gemm(m, nrhs, k, category="fp")
-                        upd = matmul_columns(blk, val)
+                        upd = kz.gemm(blk, val)
                         if I % P == r:
                             add_contrib(I, K, upd)
                         else:

@@ -65,19 +65,7 @@ def sparse_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
         return
     steps = ancestor_supernodes(layout, part, z)
     my_steps = [_my_sns(sns, grid, i, j) for sns in steps]
-
-    def pack(ks: list[int]) -> np.ndarray:
-        return np.concatenate([values[K] for K in ks], axis=0)
-
-    def unpack(ks: list[int], buf: np.ndarray, accumulate: bool) -> None:
-        ofs = 0
-        for K in ks:
-            w = values[K].shape[0]
-            if accumulate:
-                values[K] += buf[ofs:ofs + w]
-            else:
-                values[K][:] = buf[ofs:ofs + w]
-            ofs += w
+    kz = ctx.kernels
 
     # The whole reduce+broadcast is ONE inter-grid synchronization point —
     # the quantity the paper's headline claim counts.
@@ -90,12 +78,13 @@ def sparse_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
             continue
         stride = 1 << l
         if z % (2 * stride) == stride:
-            yield ctx.send(grid.zpeer(ctx.rank, z - stride), pack(ks),
+            yield ctx.send(grid.zpeer(ctx.rank, z - stride),
+                           kz.pack([values[K] for K in ks]),
                            tag=("sar", "r", l), category=category)
         elif z % (2 * stride) == 0:
             _, _, buf = yield ctx.recv(src=grid.zpeer(ctx.rank, z + stride),
                                        tag=("sar", "r", l), category=category)
-            unpack(ks, buf, accumulate=True)
+            kz.unpack(buf, values, ks, part.size, add=True)
 
     # Sparse broadcast: mirrored, full sums flow back out.
     for l in range(depth - 1, -1, -1):
@@ -104,12 +93,13 @@ def sparse_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
             continue
         stride = 1 << l
         if z % (2 * stride) == 0:
-            yield ctx.send(grid.zpeer(ctx.rank, z + stride), pack(ks),
+            yield ctx.send(grid.zpeer(ctx.rank, z + stride),
+                           kz.pack([values[K] for K in ks]),
                            tag=("sar", "b", l), category=category)
         elif z % (2 * stride) == stride:
             _, _, buf = yield ctx.recv(src=grid.zpeer(ctx.rank, z - stride),
                                        tag=("sar", "b", l), category=category)
-            unpack(ks, buf, accumulate=False)
+            kz.unpack(buf, values, ks, part.size, add=False)
 
     ctx.set_sync("")
 
@@ -165,9 +155,7 @@ def sparse_allreduce_v2(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
         return
     steps = ancestor_supernodes(layout, part, z)
     my_steps = [_my_sns(sns, grid, i, j) for sns in steps]
-
-    def pack(ks: list[int]) -> np.ndarray:
-        return np.concatenate([values[K] for K in ks], axis=0)
+    kz = ctx.kernels
 
     def subcube_nz(z0: int, width: int) -> set[int]:
         return set().union(*(nz_sets[zz] for zz in range(z0, z0 + width)))
@@ -182,7 +170,8 @@ def sparse_allreduce_v2(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
             ks = [K for K in my_steps[l]
                   if K in subcube_nz(z, stride)]
             if ks:
-                yield ctx.send(grid.zpeer(ctx.rank, z - stride), pack(ks),
+                yield ctx.send(grid.zpeer(ctx.rank, z - stride),
+                               kz.pack([values[K] for K in ks]),
                                tag=("sar2", "r", l), category=category)
         elif z % (2 * stride) == 0:
             ks = [K for K in my_steps[l]
@@ -191,11 +180,7 @@ def sparse_allreduce_v2(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
                 _, _, buf = yield ctx.recv(
                     src=grid.zpeer(ctx.rank, z + stride),
                     tag=("sar2", "r", l), category=category)
-                ofs = 0
-                for K in ks:
-                    w = values[K].shape[0]
-                    values[K] += buf[ofs:ofs + w]
-                    ofs += w
+                kz.unpack(buf, values, ks, part.size, add=True)
 
     # Unfiltered mirrored broadcast: the full sums flow back out.
     for l in range(depth - 1, -1, -1):
@@ -204,37 +189,16 @@ def sparse_allreduce_v2(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
             continue
         stride = 1 << l
         if z % (2 * stride) == 0:
-            yield ctx.send(grid.zpeer(ctx.rank, z + stride), pack(ks),
+            yield ctx.send(grid.zpeer(ctx.rank, z + stride),
+                           kz.pack([values[K] for K in ks]),
                            tag=("sar2", "b", l), category=category)
         elif z % (2 * stride) == stride:
             _, _, buf = yield ctx.recv(src=grid.zpeer(ctx.rank, z - stride),
                                        tag=("sar2", "b", l),
                                        category=category)
-            ofs = 0
-            for K in ks:
-                w = values[K].shape[0]
-                values[K][:] = buf[ofs:ofs + w]
-                ofs += w
+            kz.unpack(buf, values, ks, part.size, add=False)
 
     ctx.set_sync("")
-
-
-def _tree_sum(bufs: list[np.ndarray]) -> np.ndarray:
-    """Balanced pairwise sum: halve the list by adding adjacent pairs until
-    one buffer remains.
-
-    For a power-of-two share width this reproduces, bit for bit, the
-    association order of :func:`sparse_allreduce`'s hypercube reduce
-    (step ``l`` adds aligned subcube partials pairwise), so every grid
-    computing the sum locally gets the exact bytes the hypercube's root
-    would have broadcast.
-    """
-    while len(bufs) > 1:
-        nxt = [bufs[a] + bufs[a + 1] for a in range(0, len(bufs) - 1, 2)]
-        if len(bufs) % 2:
-            nxt.append(bufs[-1])
-        bufs = nxt
-    return bufs[0]
 
 
 def onesided_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
@@ -258,6 +222,7 @@ def onesided_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
     same count the paper's Algorithm 2 achieves with two-sided pairs.
     """
     i, j, z = grid.coords_of(ctx.rank)
+    kz = ctx.kernels
     shares: list[tuple[int, int, list[int]]] = []
     for node in layout.nodes:
         nshare = node.grid_hi - node.grid_lo
@@ -278,7 +243,7 @@ def onesided_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
     # the single barrier).
     ctx.set_sync("allreduce")
     for glo, ghi, ks in shares:
-        buf = np.concatenate([values[K] for K in ks], axis=0)
+        buf = kz.pack([values[K] for K in ks])
         for z2 in range(glo, ghi):
             if z2 != z:
                 yield ctx.put(grid.zpeer(ctx.rank, z2), ("osp", z, glo, ghi),
@@ -290,17 +255,13 @@ def onesided_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
         bufs: list[np.ndarray] = []
         for z2 in range(glo, ghi):
             if z2 == z:
-                bufs.append(np.concatenate([values[K] for K in ks], axis=0))
+                bufs.append(kz.pack([values[K] for K in ks]))
             else:
                 buf = yield ctx.read(("osp", z2, glo, ghi),
                                      category=category)
                 bufs.append(buf)
-        total = _tree_sum(bufs)
-        ofs = 0
-        for K in ks:
-            w = values[K].shape[0]
-            values[K][:] = total[ofs:ofs + w]
-            ofs += w
+        # Balanced pairwise association: the hypercube's bytes on every grid.
+        kz.unpack(kz.tree_sum(bufs), values, ks, part.size, add=False)
 
 
 def naive_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
@@ -325,7 +286,7 @@ def naive_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
               if K % grid.px == i and K % grid.py == j]
         if not ks:
             continue
-        buf = np.concatenate([values[K] for K in ks], axis=0)
+        buf = ctx.kernels.pack([values[K] for K in ks])
         members = [grid.zpeer(ctx.rank, zz)
                    for zz in range(node.grid_lo, node.grid_hi)]
         # One rendezvous per tree node — the sync-point count the sparse
@@ -334,8 +295,4 @@ def naive_allreduce(ctx: RankCtx, grid: Grid3D, layout: LayoutTree,
                                    tag=("nar", node.heap_id),
                                    category=category,
                                    sync=f"node-{node.heap_id}")
-        ofs = 0
-        for K in ks:
-            w = values[K].shape[0]
-            values[K][:] = out[ofs:ofs + w]
-            ofs += w
+        ctx.kernels.unpack(out, values, ks, part.size, add=False)

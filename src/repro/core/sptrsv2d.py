@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.comm.simulator import ANY, RankCtx
 from repro.core.plan2d import Plan2D
-from repro.util import matmul_columns
 
 
 def sptrsv_2d(ctx: RankCtx, plan2d: Plan2D, rhs: dict[int, np.ndarray],
@@ -46,29 +45,21 @@ def sptrsv_2d(ctx: RankCtx, plan2d: Plan2D, rhs: dict[int, np.ndarray],
     diag_inv = plan2d.diag_inv
     my_solve = set(plan.solve_cols)
     rank = ctx.rank
+    kz = ctx.kernels
 
-    # Partial sums are buffered per contribution and materialized in
-    # canonical key order, NOT accumulated in message-arrival order:
-    # arrival order shifts with ``nrhs`` (GEMM durations scale with the
-    # batch width), and floating-point addition is order-sensitive.  The
-    # canonical order makes every solved column bit-identical to the same
-    # column solved alone — the batching contract ``repro.serve`` relies
-    # on.  Keys: (0, 0) carried-in lsum, (1, J) local block of column J,
+    # Partial sums are buffered per contribution and summed in canonical
+    # key order (``kernels.accumulate``), NOT in message-arrival order.
+    # Keys: (0, 0) carried-in lsum, (1, J) local block of column J,
     # (2, src) reduce-tree partial from rank ``src``.
     contribs: dict[int, dict[tuple[int, int], np.ndarray]] = {}
 
     def add_contrib(I: int, key: tuple[int, int], arr: np.ndarray) -> None:
         c = contribs.setdefault(I, {})
-        c[key] = c[key] + arr if key in c else arr
+        c[key] = kz.add(c[key], arr) if key in c else arr
 
     def materialize(I: int) -> np.ndarray:
         """Sum of row I's contributions, in canonical key order."""
-        out = np.zeros((size(I), nrhs))
-        c = contribs.pop(I, None)
-        if c:
-            for key in sorted(c):
-                out += c[key]
-        return out
+        return kz.accumulate(size(I), nrhs, contribs.pop(I, None))
 
     if initial_lsum:
         for I, v in initial_lsum.items():
@@ -91,7 +82,7 @@ def sptrsv_2d(ctx: RankCtx, plan2d: Plan2D, rhs: dict[int, np.ndarray],
                 K = item[1]
                 w = size(K)
                 yield ctx.gemm(w, nrhs, w, category=fp_category)
-                val = matmul_columns(diag_inv[K], rhs[K] - materialize(K))
+                val = kz.gemm(diag_inv[K], kz.sub(rhs[K], materialize(K)))
                 values[K] = val
                 work.append(("emit", K, val))
             elif kind == "emit":
@@ -104,7 +95,7 @@ def sptrsv_2d(ctx: RankCtx, plan2d: Plan2D, rhs: dict[int, np.ndarray],
                 for I, blk in plan.consumer_blocks.get(J, ()):
                     m, k = blk.shape
                     yield ctx.gemm(m, nrhs, k, category=fp_category)
-                    add_contrib(I, (1, J), matmul_columns(blk, val))
+                    add_contrib(I, (1, J), kz.gemm(blk, val))
                     fmod[I] -= 1
                     if row_ready(I):
                         work.append(("rowdone", I))

@@ -110,6 +110,7 @@ def baseline3d_rank_fn(setup: Baseline3DSetup, b_perm: np.ndarray, nrhs: int,
 
     def rank_fn(ctx: RankCtx):
         i, j, z = grid.coords_of(ctx.rank)
+        kz = ctx.kernels
         zsteps = setup.steps[z]
         kmax = len(zsteps) - 1
 
@@ -124,8 +125,7 @@ def baseline3d_rank_fn(setup: Baseline3DSetup, b_perm: np.ndarray, nrhs: int,
             rhs = {}
             init = {}
             for K in my_plan.solve_cols:
-                c0, c1 = part.first(K), part.last(K)
-                rhs[K] = np.array(b_perm[c0:c1], copy=True)
+                rhs[K] = kz.copy(b_perm[part.first(K):part.last(K)])
                 if K in carry:
                     init[K] = carry.pop(K)
             y, out = yield from sptrsv_2d(ctx, plan_l, rhs, nrhs,
@@ -135,10 +135,7 @@ def baseline3d_rank_fn(setup: Baseline3DSetup, b_perm: np.ndarray, nrhs: int,
                                           tag_salt=("bL", z, k))
             y_all.update(y)
             for I, v in out.items():
-                if I in carry:
-                    carry[I] += v
-                else:
-                    carry[I] = v
+                carry[I] = kz.add(carry[I], v) if I in carry else v
 
             # Pairwise inter-grid reduction of the ancestor partial sums
             # onto the smaller grid id; the sender idles afterwards.
@@ -152,23 +149,16 @@ def baseline3d_rank_fn(setup: Baseline3DSetup, b_perm: np.ndarray, nrhs: int,
                 ks = _my_diag_sns(anc_sns, grid, i, j)
                 if ks:
                     if z % (2 * stride) == stride:
-                        buf = np.concatenate(
-                            [carry.get(K, np.zeros((part.size(K), nrhs)))
-                             for K in ks], axis=0)
+                        buf = kz.pack([carry[K] if K in carry
+                                       else kz.zeros(part.size(K), nrhs)
+                                       for K in ks])
                         yield ctx.send(grid.zpeer(ctx.rank, z - stride), buf,
                                        tag=("bzl", k), category="z")
                     else:
                         _, _, buf = yield ctx.recv(
                             src=grid.zpeer(ctx.rank, z + stride),
                             tag=("bzl", k), category="z")
-                        ofs = 0
-                        for K in ks:
-                            w = part.size(K)
-                            if K in carry:
-                                carry[K] += buf[ofs:ofs + w]
-                            else:
-                                carry[K] = np.array(buf[ofs:ofs + w])
-                            ofs += w
+                        kz.unpack(buf, carry, ks, part.size, add=True)
                 if level_sync:
                     # Per-level synchronization of the exchanging grid pair
                     # (the baseline's O(log Pz) sync structure).
@@ -195,11 +185,7 @@ def baseline3d_rank_fn(setup: Baseline3DSetup, b_perm: np.ndarray, nrhs: int,
                 _, _, buf = yield ctx.recv(
                     src=grid.zpeer(ctx.rank, partner),
                     tag=("bzu", kmax), category="z")
-                ofs = 0
-                for K in ks:
-                    w = part.size(K)
-                    x_known[K] = np.array(buf[ofs:ofs + w])
-                    ofs += w
+                kz.unpack(buf, x_known, ks, part.size, add=False)
             if level_sync:
                 members = (grid.grid_ranks(partner) + grid.grid_ranks(z))
                 yield from barrier(ctx, members, tag=("bubar", kmax, partner),
@@ -227,7 +213,7 @@ def baseline3d_rank_fn(setup: Baseline3DSetup, b_perm: np.ndarray, nrhs: int,
                 need = sorted(node_sns) + anc_sns
                 ks = _my_diag_sns(need, grid, i, j)
                 if ks:
-                    buf = np.concatenate([x_known[K] for K in ks], axis=0)
+                    buf = kz.pack([x_known[K] for K in ks])
                     yield ctx.send(grid.zpeer(ctx.rank, peer_z), buf,
                                    tag=("bzu", k - 1), category="z")
                 if level_sync:

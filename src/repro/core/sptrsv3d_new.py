@@ -108,6 +108,7 @@ def new3d_rank_fn(setup: New3DSetup, b_perm: np.ndarray, nrhs: int,
         plan_L = setup.plans_L[z]
         plan_U = setup.plans_U[z]
         my_cols = plan_L.plan_of(ctx.rank).solve_cols
+        kz = ctx.kernels
 
         # Form b^z: zero the replicated entries except on the owner grid
         # (Algorithm 1 lines 4-10).
@@ -115,9 +116,9 @@ def new3d_rank_fn(setup: New3DSetup, b_perm: np.ndarray, nrhs: int,
         for K in my_cols:
             c0, c1 = part.first(K), part.last(K)
             if setup.sn_owner_grid[K] == z:
-                rhs[K] = np.array(b_perm[c0:c1], copy=True)
+                rhs[K] = kz.copy(b_perm[c0:c1])
             else:
-                rhs[K] = np.zeros((c1 - c0, nrhs))
+                rhs[K] = kz.zeros(c1 - c0, nrhs)
 
         ctx.set_phase("l")
         ctx.mark("l_start")

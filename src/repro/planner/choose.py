@@ -65,8 +65,10 @@ class Planner:
 
         machine = machine or solver.machine
         g = solver.grid
-        return (matrix_fingerprint(solver.A).hexdigest,
-                g.px, g.py, g.pz, machine.name, nrhs)
+        kept = solver.__dict__   # a solver's matrix is fixed: hash it once
+        if "_fingerprint" not in kept:
+            kept["_fingerprint"] = matrix_fingerprint(solver.A).hexdigest
+        return (kept["_fingerprint"], g.px, g.py, g.pz, machine.name, nrhs)
 
     def choose(self, solver, nrhs: int = 1,
                machine: Machine | None = None) -> Decision:

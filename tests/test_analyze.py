@@ -23,9 +23,12 @@ from repro.analyze import (
     verify_schedule,
 )
 from repro.comm.costmodel import CORI_HASWELL
+from repro.analyze import extract
 from repro.comm.simulator import ANY
-from repro.core.backends import BACKENDS
+from repro.core.backends import BACKENDS, Z_REDUCTIONS
 from repro.core.solver import SpTRSVSolver
+from repro.grids.grid3d import Grid3D
+from repro.kernels import NUMERIC
 from repro.matrices import poisson2d
 from repro.planner import schedule_time
 from tests.conftest import fresh_store, schedule_fields
@@ -361,3 +364,93 @@ def test_stored_schedule_keeps_no_payload_alive(solver224, algorithm):
     assert all(_plain(t) for t in sched.compute_tails)
     # The 2D kernel's salted predicate is the one callable tag there is.
     assert predicates > 0 or BACKENDS[algorithm].family.name == "ca_trsm"
+
+
+# ---------------------------------------------------------------------------
+# Extraction runs on the shape-only kernel set (repro.kernels).
+# ---------------------------------------------------------------------------
+
+KERNEL_GRIDS = [(2, 2, 1), (2, 1, 2), (1, 1, 4), (2, 2, 2)]
+
+
+def _gid(v) -> str:
+    return "x".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+@pytest.fixture(scope="module")
+def grid_solvers(matrix):
+    return {g: SpTRSVSolver(matrix, *g) for g in KERNEL_GRIDS}
+
+
+def _both_kernel_sets(monkeypatch, extract_once):
+    """``extract_once()``'s fields under the shape-only set the extractor
+    picks, and with the numeric set patched in instead."""
+    shape = schedule_fields(extract_once())
+    with monkeypatch.context() as m:
+        m.setattr(extract, "SHAPE", NUMERIC)
+        numeric = schedule_fields(extract_once())
+    return shape, numeric
+
+
+@pytest.mark.parametrize("grid,algorithm", [
+    (g, name) for g in KERNEL_GRIDS for name, row in BACKENDS.items()
+    if row.grid_ok(Grid3D(*g))], ids=_gid)
+@pytest.mark.parametrize("nrhs", [1, 3])
+def test_shape_extraction_equals_numeric(grid_solvers, monkeypatch, grid,
+                                         algorithm, nrhs):
+    """Field for field — events, tags, nbytes, pre_*, compute tails,
+    completion, blocked lists: zero-shape kernels change no schedule."""
+    solver = grid_solvers[grid]
+    shape, numeric = _both_kernel_sets(monkeypatch, lambda: solver_schedule(
+        fresh_store(solver), algorithm=algorithm, nrhs=nrhs))
+    assert shape == numeric
+
+
+@pytest.mark.parametrize("grid", [g for g in KERNEL_GRIDS if g[2] > 1],
+                         ids=_gid)
+@pytest.mark.parametrize("impl", list(Z_REDUCTIONS))
+@pytest.mark.parametrize("nrhs", [1, 3])
+def test_shape_allreduce_extraction_equals_numeric(grid_solvers, monkeypatch,
+                                                   grid, impl, nrhs):
+    solver = grid_solvers[grid]
+    shape, numeric = _both_kernel_sets(monkeypatch, lambda: allreduce_schedule(
+        solver, nrhs=nrhs, impl=impl))
+    assert shape == numeric
+
+
+def test_shape_set_overrides_every_numeric_kernel():
+    """A kernel ``Shape`` forgot would silently compute under extraction."""
+    from repro.kernels import Numeric, Shape
+
+    kernels = {k for k in vars(Numeric) if not k.startswith("_")}
+    assert kernels - set(vars(Shape)) == {"zeros"}
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Every call of ``repro.util.matmul_columns`` from here on."""
+    import repro.util
+
+    calls = []
+    real = repro.util.matmul_columns
+
+    def counting(M, Y):
+        calls.append(M.shape)
+        return real(M, Y)
+
+    monkeypatch.setattr(repro.util, "matmul_columns", counting)
+    return calls
+
+
+def test_extraction_runs_no_gemm(solver224, matmul_calls):
+    for algorithm, row in BACKENDS.items():
+        if row.grid_ok(solver224.grid):
+            solver_schedule(fresh_store(solver224), algorithm=algorithm,
+                            nrhs=2)
+    assert matmul_calls == []
+
+
+def test_simulated_solve_runs_numeric_gemms(solver224, matmul_calls):
+    """The shape-only set can never reach the simulator."""
+    solver224.solve(np.ones(solver224.A.shape[0]))
+    assert len(matmul_calls) > 0

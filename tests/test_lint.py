@@ -1,4 +1,4 @@
-"""Tests for the custom AST lint (repro lint, rules RPR001-RPR006)."""
+"""Tests for the custom AST lint (repro lint, rules RPR001-RPR009)."""
 
 from __future__ import annotations
 
@@ -43,6 +43,32 @@ def test_rpr003_noncanonical_matmul_scoped_to_kernels():
     assert _rules("y = matmul_columns(A, x)", path=kernel) == []
     # Outside the kernel modules raw matmul is fine.
     assert _rules("y = A @ x", path="src/repro/perf/roofline.py") == []
+
+
+def test_rpr009_arithmetic_outside_kernels_in_rank_programs():
+    rank = "src/repro/core/sptrsv3d_baseline.py"
+    gen = "def prog(ctx):\n    {}\n    yield ctx.send(0, x)"
+    for call in ("x = np.zeros((3, 2))", "x = np.empty(3)",
+                 "x = np.array(b[0:3], copy=True)",
+                 "x = np.concatenate(parts, axis=0)",
+                 "x = matmul_columns(A, y)", "x = util.matmul_columns(A, y)"):
+        assert _rules(gen.format(call), path=rank) == ["RPR009"], call
+    # A closure of a rank program is part of it.
+    closure = ("def prog(ctx):\n"
+               "    def materialize():\n"
+               "        return np.zeros((3, 1))\n"
+               "    yield ctx.send(0, materialize())")
+    assert _rules(closure, path=rank) == ["RPR009"]
+    # Through the kernel set, in a plain function, or in another module:
+    # not this rule's business.
+    assert _rules(gen.format("x = ctx.kernels.zeros(3, 2)"), path=rank) == []
+    assert _rules(gen.format("x = kz.pack(parts)"), path=rank) == []
+    assert _rules("def collect():\n    return np.empty((3, 2))",
+                  path=rank) == []
+    assert _rules(gen.format("x = np.zeros(3)"),
+                  path="src/repro/comm/collectives.py") == []
+    assert _rules(gen.format("x = np.zeros(3)  # repro: allow[RPR009]"),
+                  path=rank) == []
 
 
 def test_rpr004_wallclock_and_rng():

@@ -116,6 +116,29 @@ def test_decision_cache_hits(A):
     assert d3 is not d1
 
 
+def test_matrix_is_hashed_once_per_solver(A, monkeypatch):
+    """The decision key holds the matrix digest; the solver keeps it, so a
+    cached lookup does not re-hash the CSR arrays."""
+    import repro.matrices
+
+    solver = make_solver(A, (2, 1, 2))
+    reference = Planner().choose(make_solver(A, (2, 1, 2)), nrhs=2)
+    calls = []
+    real = repro.matrices.matrix_fingerprint
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(repro.matrices, "matrix_fingerprint", counting)
+    planner = Planner()
+    d1 = planner.choose(solver, nrhs=2)
+    d2 = planner.choose(solver, nrhs=2)
+    assert len(calls) == 1 and d1 is d2
+    assert (d1.key, d1.algorithm, d1.predicted) == (
+        reference.key, reference.algorithm, reference.predicted)
+
+
 @pytest.fixture
 def extractions(monkeypatch):
     """Backend name of every schedule whose rank programs were driven."""
