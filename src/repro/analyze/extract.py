@@ -66,26 +66,11 @@ class _ZeroCPU:
         return 0.0
 
 
-class _ZeroNet:
-    send_overhead = 0.0
-    recv_overhead = 0.0
-    alpha_intra = 0.0
-    alpha_inter = 0.0
-
-    def latency(self, nbytes: float, same_node: bool) -> float:
-        return 0.0
-
-
 class _SymbolicMachine:
-    """Machine stub pricing every operation at zero virtual seconds."""
+    """Machine stub pricing every operation at zero virtual seconds; the
+    extractor's ``RankCtx`` reads only ``cpu``."""
 
-    name = "symbolic"
     cpu = _ZeroCPU()
-    net = _ZeroNet()
-    gpu = None
-
-    def same_node(self, a: int, b: int) -> bool:
-        return True
 
 
 SYMBOLIC_MACHINE = _SymbolicMachine()

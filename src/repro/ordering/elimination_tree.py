@@ -21,12 +21,11 @@ def etree(A: sp.spmatrix) -> np.ndarray:
     """
     A = sp.csc_matrix(A)
     n = A.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
+    parent = [-1] * n
+    ancestor = [-1] * n
+    indptr, indices = A.indptr.tolist(), A.indices.tolist()
     for j in range(n):
-        for p in range(indptr[j], indptr[j + 1]):
-            i = indices[p]
+        for i in indices[indptr[j]:indptr[j + 1]]:
             # Walk from i up to the root of its current virtual tree.
             while i != -1 and i < j:
                 inext = ancestor[i]
@@ -34,7 +33,7 @@ def etree(A: sp.spmatrix) -> np.ndarray:
                 if inext == -1:
                     parent[i] = j
                 i = inext
-    return parent
+    return np.asarray(parent, dtype=np.int64)
 
 
 def postorder(parent: np.ndarray) -> np.ndarray:

@@ -96,40 +96,44 @@ def _symmetric_adjacency(A: sp.spmatrix) -> sp.csr_matrix:
     return sp.csr_matrix(P)
 
 
-def _bfs_levels(indptr, indices, seeds, mask, level, token):
-    """BFS over the masked subgraph from ``seeds``.
+def _bfs(adj, unvisited, seed):
+    """FIFO BFS from ``seed`` through the vertices in ``unvisited``.
 
-    ``mask`` holds ``token`` for vertices in the subgraph; visited vertices
-    get their distance written into ``level``.  Returns the visit order.
+    Neighbours are taken in CSR order, and each vertex reached is removed
+    from ``unvisited``.  A FIFO order visits level by level, so the result
+    is the visit order plus its level bounds: ``order[bounds[k]:bounds[k +
+    1]]`` are the vertices at distance ``k`` from ``seed``.
     """
-    order = list(seeds)
-    for s in seeds:
-        level[s] = 0
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        du = level[u]
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if mask[v] == token and level[v] < 0:
-                level[v] = du + 1
-                order.append(v)
-    return order
+    unvisited.discard(seed)
+    order = [seed]
+    bounds = [0]
+    while bounds[-1] < len(order):
+        lo = bounds[-1]
+        bounds.append(len(order))
+        for u in order[lo:bounds[-1]]:
+            for v in adj[u]:
+                if v in unvisited:
+                    unvisited.remove(v)
+                    order.append(v)
+    return order, bounds
 
 
-def _pseudo_peripheral(indptr, indices, verts, mask, level, token):
-    """Double-BFS pseudo-peripheral vertex heuristic; returns (start, order)."""
+def _pseudo_peripheral(adj, verts):
+    """Double-BFS pseudo-peripheral vertex heuristic.
+
+    Returns the BFS from the chosen start (order and level bounds) and the
+    vertices of ``verts`` it did not reach.
+    """
     start = verts[0]
     for _ in range(2):
-        level[verts] = -1
-        order = _bfs_levels(indptr, indices, [start], mask, level, token)
+        order, _ = _bfs(adj, set(verts), start)
         start = order[-1]
-    level[verts] = -1
-    order = _bfs_levels(indptr, indices, [start], mask, level, token)
-    return start, order
+    unreached = set(verts)
+    order, bounds = _bfs(adj, unreached, start)
+    return order, bounds, unreached
 
 
-def _split(indptr, indices, verts, mask, level, token):
+def _split(adj, verts):
     """Split ``verts`` into (left, right, separator) via BFS level sets.
 
     A connected subgraph is cut at the BFS level whose removal best
@@ -139,61 +143,34 @@ def _split(indptr, indices, verts, mask, level, token):
     the ancestor-closure property the 3D layout relies on).  Any part may
     come back empty for tiny graphs.
     """
-    empty = np.empty(0, dtype=verts.dtype)
     nv = len(verts)
     if nv <= 1:
-        return verts, empty, empty
-    _, order = _pseudo_peripheral(indptr, indices, verts, mask, level, token)
-    reached = np.asarray(order, dtype=verts.dtype)
+        return verts, [], []
+    order, bounds, unreached = _pseudo_peripheral(adj, verts)
 
-    if len(reached) < nv:
-        # Disconnected: gather every component, then balance whole
-        # components across the two sides with an empty separator.
-        comps = [reached]
-        remaining = verts[level[verts] < 0]
-        while len(remaining):
-            comp = _bfs_levels(indptr, indices, [remaining[0]], mask, level,
-                               token)
-            comps.append(np.asarray(comp, dtype=verts.dtype))
-            remaining = remaining[level[remaining] < 0]
+    if unreached:
+        # Disconnected: gather every component (seeded in ``verts`` order),
+        # then balance whole components across the two sides with an empty
+        # separator.
+        comps = [order]
+        for v in verts:
+            if v in unreached:
+                comps.append(_bfs(adj, unreached, v)[0])
         comps.sort(key=len, reverse=True)
-        left_parts, right_parts = [], []
-        ls = rs = 0
+        left, right = [], []
         for c in comps:
-            if ls <= rs:
-                left_parts.append(c)
-                ls += len(c)
-            else:
-                right_parts.append(c)
-                rs += len(c)
-        left = np.concatenate(left_parts) if left_parts else empty
-        right = np.concatenate(right_parts) if right_parts else empty
-        return left, right, empty
+            (left if len(left) <= len(right) else right).extend(c)
+        return left, right, []
 
-    lv = level[reached]
-    nlev = int(lv.max()) + 1
-    if nlev <= 1:  # pragma: no cover - connected with >1 vertex has >1 level
-        half = nv // 2
-        return verts[:half], verts[half:], empty
-
-    counts = np.bincount(lv, minlength=nlev)
-    below = np.cumsum(counts) - counts  # strictly below each level
-    above = len(reached) - below - counts
-    # Cost: imbalance plus separator size, favoring small middle levels.
-    cost = np.maximum(below, above) + 2 * counts
-    cost[0] = cost[-1] = np.iinfo(np.int64).max  # keep both sides nonempty
-    cut = int(np.argmin(cost)) if nlev > 2 else 1
-
-    left = reached[lv < cut]
-    sep = reached[lv == cut]
-    right = reached[lv > cut]
-    unreached = verts[level[verts] < 0]
-    if len(unreached):
-        if len(left) < len(right):
-            left = np.concatenate([left, unreached])
-        else:
-            right = np.concatenate([right, unreached])
-    return left, right, sep
+    # Cost: imbalance plus separator size, favoring small middle levels;
+    # the first and last levels are never cut, so both sides stay nonempty.
+    nlev = len(bounds) - 1
+    cut = min(range(1, nlev - 1),
+              key=lambda k: (max(bounds[k], nv - bounds[k + 1])
+                             + 2 * (bounds[k + 1] - bounds[k])),
+              default=1)
+    lo, hi = bounds[cut], bounds[cut + 1]
+    return order[:lo], order[hi:], order[lo:hi]
 
 
 def nested_dissection(A: sp.spmatrix, leaf_size: int = 64,
@@ -207,40 +184,32 @@ def nested_dissection(A: sp.spmatrix, leaf_size: int = 64,
     """
     P = _symmetric_adjacency(A)
     n = P.shape[0]
-    indptr, indices = P.indptr, P.indices
-    mask = np.zeros(n, dtype=np.int64)  # subgraph token per vertex
-    level = np.full(n, -1, dtype=np.int64)
+    indptr, indices = P.indptr.tolist(), P.indices.tolist()
+    adj = [indices[indptr[u]:indptr[u + 1]] for u in range(n)]
 
     nodes: list[SepTreeNode] = []
-    perm = np.empty(n, dtype=np.int64)
-    next_token = [1]
-    cursor = [0]
+    cols: list[int] = []  # the permutation, built in order
 
-    def rec(verts: np.ndarray, depth: int, parent: int) -> int:
+    def rec(verts: list[int], depth: int, parent: int) -> int:
         node_id = len(nodes)
         nodes.append(None)  # placeholder, filled below
-        subtree_first = cursor[0]
+        subtree_first = len(cols)
         if depth >= min_depth and len(verts) <= leaf_size:
-            first = cursor[0]
-            perm[first:first + len(verts)] = verts
-            cursor[0] += len(verts)
-            nodes[node_id] = SepTreeNode(node_id, parent, depth, first,
-                                         cursor[0], subtree_first)
+            cols.extend(verts)
+            nodes[node_id] = SepTreeNode(node_id, parent, depth,
+                                         subtree_first, len(cols),
+                                         subtree_first)
             return node_id
-        token = next_token[0]
-        next_token[0] += 1
-        mask[verts] = token
-        left, right, sep = _split(indptr, indices, verts, mask, level, token)
+        left, right, sep = _split(adj, verts)
         lid = rec(left, depth + 1, node_id)
         rid = rec(right, depth + 1, node_id)
-        first = cursor[0]
-        perm[first:first + len(sep)] = sep
-        cursor[0] += len(sep)
-        nodes[node_id] = SepTreeNode(node_id, parent, depth, first, cursor[0],
+        first = len(cols)
+        cols.extend(sep)
+        nodes[node_id] = SepTreeNode(node_id, parent, depth, first, len(cols),
                                      subtree_first, children=(lid, rid))
         return node_id
 
-    root = rec(np.arange(n, dtype=np.int64), 0, -1)
-    assert cursor[0] == n
+    root = rec(list(range(n)), 0, -1)
+    perm = np.asarray(cols, dtype=np.int64)
     check_permutation(perm, n)
     return SeparatorTree(nodes=nodes, root=root, perm=perm)
