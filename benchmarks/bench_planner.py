@@ -33,8 +33,8 @@ GRIDS = [(2, 2, 1), (2, 1, 2), (2, 2, 2), (1, 2, 4)]
 NRHS = 4
 HIT_TOL = 0.10          # "within 10% of measured best"
 ACCEPTANCE_FLOOR = 0.9  # on >= 90% of the sweep
-BENCH_JSON = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_planner.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_JSON = os.path.join(ROOT, "BENCH_planner.json")
 
 
 def _measure_point(name, grid, planner):
@@ -119,7 +119,7 @@ def test_planner_pick_vs_measured(benchmark):
         rows.append(f"{key:>24s} {pt['pick']:>20s} "
                     f"{pt['measured_best']:>20s} "
                     f"{pt['pick_over_best']:9.4f}x{flag}")
-    rows.append(f"wrote {os.path.relpath(BENCH_JSON)} "
+    rows.append(f"wrote {os.path.relpath(BENCH_JSON, ROOT)} "
                 f"(hit rate {hit_rate:.2f} over {n_points} points, "
                 f"floor {ACCEPTANCE_FLOOR})")
     write_report("planner_sweep.txt", rows)
