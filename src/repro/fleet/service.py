@@ -2,7 +2,7 @@
 
 :class:`FleetService` scales the single virtual-time loop of
 :class:`~repro.serve.service.SolveService` out to a simulated shard
-fleet.  Each worker is a full ``SolveService`` — its own
+fleet.  Each worker is a lane over a full ``SolveService`` — its own
 :class:`~repro.serve.cache.FactorizationCache`, its own
 :class:`~repro.serve.scheduler.BatchingScheduler`, its own clock — and
 the front door routes every request by the content fingerprint of the
@@ -15,15 +15,16 @@ id), trading duplicate factorizations for parallelism on skewed mixes.
 Time is co-simulated conservatively: the run is cut into *epochs* at
 every instant the routing table can change (a worker crash, a recovery,
 an autoscaler tick).  Within an epoch the ring is frozen, so each worker
-advances independently to the epoch horizon with exactly the
-single-service event loop — a one-worker fleet therefore reproduces the
-``SolveService`` SLO *bit for bit* (pinned by ``tests/test_fleet.py``).
-At a crash instant the dying worker's world is evacuated: a batch still
-in flight is rolled back (its completions un-happen — the cluster died
-mid-solve), the waiting room is drained, and everything is re-routed
-through the ring at the crash time, keeping original arrivals so the
-re-routed requests' latencies honestly include the detour.  Recovery
-brings the worker back as a *new incarnation* with a cold cache.
+advances its :class:`~repro.serve.service.Lane` — the single-service
+event loop itself — to the epoch horizon; a one-worker fleet therefore
+reproduces the ``SolveService`` SLO *bit for bit* (pinned by
+``tests/test_fleet.py``).  At a crash instant the dying worker's lane is
+evacuated: the record of a batch still in flight is dropped (the cluster
+died mid-solve), the waiting room is drained, and everything is
+re-routed through the ring at the crash time, keeping original arrivals
+so the re-routed requests' latencies honestly include the detour.
+Recovery brings the worker back as a *new incarnation* with a cold
+cache.
 
 Crash schedules reuse ``repro.comm.faults``: a
 :class:`~repro.comm.faults.FaultSchedule` whose plans carry ``crash``
@@ -38,7 +39,6 @@ included; the fleet-smoke CI job diffs two runs to pin it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -50,18 +50,13 @@ from repro.fleet.report import FleetReport, build_fleet_report
 from repro.fleet.ring import HashRing
 from repro.matrices import get_matrix, matrix_fingerprint, validate_matrix
 from repro.serve.cache import CacheStats, FactorizationCache
-from repro.serve.scheduler import (
-    BatchingScheduler,
-    BatchPolicy,
-    Rejection,
-    RejectReason,
-)
+from repro.serve.scheduler import BatchPolicy, Rejection, RejectReason
 from repro.serve.service import (
     Completion,
+    Lane,
     ServeResult,
     ServiceConfig,
     SolveService,
-    _QueueDepthIntegral,
 )
 from repro.serve.slo import SLOReport, build_slo
 from repro.serve.workload import Request, Workload
@@ -113,38 +108,23 @@ def crash_windows(schedule: FaultSchedule | None
 
 
 class _WorkerState:
-    """One shard: a SolveService incarnation plus fleet bookkeeping."""
+    """One shard: its service lane plus fleet bookkeeping."""
 
-    def __init__(self, index: int, svc: SolveService, policy: BatchPolicy,
-                 t0: float = 0.0):
+    def __init__(self, index: int, lane: Lane):
         self.index = index
-        self.svc = svc
-        self.sched = BatchingScheduler(policy=policy)
-        self.res = ServeResult(completions=[], rejections=[], batches=[],
-                               queue_samples=[])
-        self.qdepth = _QueueDepthIntegral()
-        # Routed-but-not-yet-admitted backlog: sorted (t_effective, id,
-        # Request).  t_effective is the arrival for normal routes and the
-        # crash instant for re-routes — the moment the request reached
-        # *this* worker's door.  ``pi`` is the admission cursor.
-        self.pending: list[tuple[float, int, Request]] = []
-        self.pi = 0
-        self.t = t0
+        self.lane = lane
+        self.res: ServeResult | None = None   # the lane's fold, at run end
         self.state = "up"         # up / draining / down / retired
-        self.setup_total = 0.0
-        self.solve_total = 0.0
         self.past_cache: list[CacheStats] = []   # stats of dead incarnations
         self.incarnations = 1
         self.n_routed = 0
         self.n_rerouted_away = 0
         self.tick_mark = 0        # completions already seen by the autoscaler
 
-    def backlog(self) -> int:
-        return len(self.pending) - self.pi
-
-    def logical_depth(self) -> int:
-        """Queued plus routed-but-unadmitted — the backpressure gauge."""
-        return self.backlog() + self.sched.depth()
+    @property
+    def svc(self) -> SolveService:
+        """The live incarnation's service."""
+        return self.lane.svc
 
     def merged_cache_stats(self) -> CacheStats:
         """Lifetime cache counters across every incarnation.
@@ -233,7 +213,7 @@ class FleetService:
             verify_seed=self.verify_seed)
 
     def _spawn(self, index: int, t0: float) -> _WorkerState:
-        return _WorkerState(index, self._spawn_service(), self.policy, t0=t0)
+        return _WorkerState(index, Lane(self._spawn_service(), t0=t0))
 
     # -- routing --------------------------------------------------------------
 
@@ -272,17 +252,13 @@ class FleetService:
         if len(owners) == 1:
             return owners[0]
         return min(owners,
-                   key=lambda i: (self.workers[i].logical_depth(),
+                   key=lambda i: (self.workers[i].lane.logical_depth(),
                                   owners.index(i)))
-
-    def _deliver(self, ws: _WorkerState, r: Request, t_eff: float) -> None:
-        bisect.insort(ws.pending, (t_eff, r.id, r))
-        ws.n_routed += 1
 
     def _admit(self, r: Request) -> None:
         """Front-door admission + routing of one fresh arrival."""
         if self.fleet.admit_bound is not None:
-            depth = sum(self.workers[i].logical_depth()
+            depth = sum(self.workers[i].lane.logical_depth()
                         for i in self.ring.workers)
             if depth >= self.fleet.admit_bound:
                 self.front_rejections.append(Rejection(
@@ -295,7 +271,8 @@ class FleetService:
                 r, RejectReason.WORKER_CRASH, r.arrival,
                 detail="no live workers"))
             return
-        self._deliver(self.workers[target], r, r.arrival)
+        self.workers[target].lane.deliver(r, r.arrival)
+        self.workers[target].n_routed += 1
 
     def _reroute(self, r: Request, t: float) -> None:
         """Re-home an evacuated request at the crash instant.
@@ -317,111 +294,16 @@ class FleetService:
                 r, RejectReason.WORKER_CRASH, t_eff,
                 detail="no live workers"))
             return
-        self._deliver(self.workers[target], r, t_eff)
+        self.workers[target].lane.deliver(r, t_eff)
+        self.workers[target].n_routed += 1
         self.counters["n_rerouted"] += 1
 
-    # -- the per-worker event loop --------------------------------------------
-
-    def _advance(self, ws: _WorkerState, horizon: float) -> None:
-        """Run one worker's service loop up to ``horizon``.
-
-        Structurally the :meth:`SolveService.run` loop — admission at
-        arrival instants, expiry, EDF-due batch dispatch, idle jumps —
-        restricted to events strictly before the horizon, so the epoch
-        cut is invisible to the virtual-time trajectory.  A dispatch may
-        finish past the horizon (the server is busy across the boundary);
-        the next epoch resumes from its completion.
-        """
-        sched, res = ws.sched, ws.res
-        while True:
-            if ws.t >= horizon:
-                break
-            while ws.pi < len(ws.pending) and ws.pending[ws.pi][0] <= ws.t:
-                t_eff, _, r = ws.pending[ws.pi]
-                ws.pi += 1
-                rej = sched.offer(r, t_eff)
-                if rej is not None:
-                    res.rejections.append(rej)
-                ws.qdepth.record(t_eff, sched.depth())
-            expired = sched.expire(ws.t)
-            if expired:
-                res.rejections.extend(expired)
-                ws.qdepth.record(ws.t, sched.depth())
-            res.queue_samples.append(sched.depth())
-
-            key = sched.ready_group(ws.t)
-            if key is None:
-                nexts = []
-                if ws.pi < len(ws.pending) \
-                        and ws.pending[ws.pi][0] < horizon:
-                    nexts.append(ws.pending[ws.pi][0])
-                trig = sched.next_trigger()
-                if trig is not None and trig < horizon:
-                    nexts.append(trig)
-                if not nexts:
-                    break
-                ws.t = max(ws.t, min(nexts))
-                continue
-
-            batch, shed = sched.pop_batch(key, ws.t)
-            res.rejections.extend(shed)
-            ws.qdepth.record(ws.t, sched.depth())
-            if not batch:
-                continue
-            nb = len(res.batches)
-            ws.t = ws.svc._dispatch(batch, ws.t, res, None)
-            if len(res.batches) > nb:
-                ws.setup_total += res.batches[-1].setup_time
-                ws.solve_total += res.batches[-1].solve_time
-
     # -- crash / recovery -----------------------------------------------------
-
-    def _collapse(self, ws: _WorkerState, t: float) -> list[Request]:
-        """Evacuate a crashing worker at instant ``t``.
-
-        Returns every request that was alive on the worker, in a fixed
-        order: the rolled-back in-flight batch first (the solve died with
-        the worker — its completions are removed, counters restored),
-        then the drained waiting room, then the routed-but-unadmitted
-        backlog.
-        """
-        lost: list[Request] = []
-        res = ws.res
-        if res.batches and res.batches[-1].t_complete > t:
-            b = res.batches.pop()
-            gone = [c for c in res.completions if c.batch_id == b.batch_id]
-            res.completions = [c for c in res.completions
-                               if c.batch_id != b.batch_id]
-            for c in gone:
-                res.solutions.pop(c.request.id, None)
-                lost.append(c.request)
-            for key, (_prog, jobs) in list(res._panels.items()):
-                jobs[:] = [j for j in jobs if j.batch_id != b.batch_id]
-                if not jobs:
-                    del res._panels[key]
-            res.deduped -= len(b.request_ids) - b.size
-            if b.replayed:
-                res.n_replayed -= 1
-            res.n_verified -= sum(1 for c in gone
-                                  if ws.svc._sampled(c.request.id))
-            res.integrity_failures = [f for f in res.integrity_failures
-                                      if f["batch_id"] != b.batch_id]
-            ws.setup_total -= b.setup_time
-            ws.solve_total -= b.solve_time
-        lost.extend(ws.sched.drain())
-        while ws.pi < len(ws.pending):
-            lost.append(ws.pending[ws.pi][2])
-            ws.pi += 1
-        ws.qdepth.record(t, 0)
-        ws.t = t
-        return lost
 
     def _revive(self, ws: _WorkerState, t: float) -> None:
         """New incarnation: fresh service, fresh (cold) cache, clock at t."""
         ws.past_cache.append(ws.svc.cache.stats)
-        ws.svc = self._spawn_service()
-        ws.sched = BatchingScheduler(policy=self.policy)
-        ws.t = max(ws.t, t)
+        ws.lane.revive(self._spawn_service(), t)
         ws.state = "up"
         ws.incarnations += 1
 
@@ -439,7 +321,7 @@ class FleetService:
             acting.append(ws)
         lost_all: list[Request] = []
         for ws in sorted(acting, key=lambda s: s.index):
-            lost = self._collapse(ws, t)
+            lost = ws.lane.collapse(t)
             ws.state = "down"
             ws.n_rerouted_away += len(lost)
             self.counters["n_crashes"] += 1
@@ -470,13 +352,13 @@ class FleetService:
     def _tick(self, t: float, scaler: Autoscaler) -> None:
         routable = [i for i in self.ring.workers
                     if self.workers[i].state == "up"]
-        depths = {i: self.workers[i].logical_depth() for i in routable}
+        depths = {i: self.workers[i].lane.logical_depth() for i in routable}
         lats: list[float] = []
         for i in sorted(self.workers):
             ws = self.workers[i]
-            lats.extend(c.latency
-                        for c in ws.res.completions[ws.tick_mark:])
-            ws.tick_mark = len(ws.res.completions)
+            done = ws.lane.completions()
+            lats.extend(c.latency for c in done[ws.tick_mark:])
+            ws.tick_mark = len(done)
         p95 = (float(np.percentile(np.asarray(lats, dtype=np.float64), 95))
                if lats else None)
         d = scaler.decide(depths, len(routable), p95)
@@ -556,8 +438,7 @@ class FleetService:
 
         while True:
             have_work = ai < len(arrivals) or any(
-                ws.state in ("up", "draining")
-                and (ws.backlog() or ws.sched.depth())
+                ws.state in ("up", "draining") and ws.lane.logical_depth()
                 for ws in self.workers.values())
             cands = []
             if bi < len(bounds):
@@ -572,7 +453,7 @@ class FleetService:
             for i in sorted(self.workers):
                 ws = self.workers[i]
                 if ws.state in ("up", "draining"):
-                    self._advance(ws, horizon)
+                    ws.lane.advance(horizon)
             if not cands:
                 break
             if bi < len(bounds) and bounds[bi] == horizon:
@@ -591,72 +472,51 @@ class FleetService:
         worker_results: dict[int, ServeResult] = {}
         for i in sorted(self.workers):
             ws = self.workers[i]
-            if ws.state == "draining" and ws.logical_depth() == 0:
+            if ws.state == "draining" and ws.lane.logical_depth() == 0:
                 ws.state = "retired"
-            ws.qdepth.record(ws.t, ws.sched.depth())
-            res = ws.res
-            ws.svc._flush(res)
-            res.slo = build_slo(
-                n_requests=len(res.completions) + len(res.rejections),
-                latencies=[c.latency for c in res.completions],
-                deadline_met=[c.deadline_met for c in res.completions],
-                shed_reasons=[str(r.reason) for r in res.rejections],
-                batch_sizes=[b.size for b in res.batches],
-                queue_samples=res.queue_samples,
-                queue_time_mean=ws.qdepth.mean(),
-                cache_stats=ws.merged_cache_stats(),
-                setup_time=ws.setup_total, solve_time=ws.solve_total,
-                makespan=max((c.t_complete for c in res.completions),
-                             default=ws.t),
-                deduped=res.deduped, n_verified=res.n_verified,
-                n_integrity_failures=len(res.integrity_failures),
-                n_replayed=res.n_replayed)
-            worker_results[i] = res
+            # Everything routed here and not evacuated was completed or
+            # shed here.
+            ws.res = ws.lane.finish(ws.n_routed - ws.n_rerouted_away,
+                                    ws.merged_cache_stats())
+            worker_results[i] = ws.res
 
-        completions = [c for i in sorted(worker_results)
-                       for c in worker_results[i].completions]
-        rejections = list(self.front_rejections)
-        for i in sorted(worker_results):
-            rejections.extend(worker_results[i].rejections)
-        solutions: dict = {}
-        for i in sorted(worker_results):
-            solutions.update(worker_results[i].solutions)
+        parts = worker_results.values()       # in worker-index order
+        completions = [c for r in parts for c in r.completions]
+        rejections = [*self.front_rejections,
+                      *(j for r in parts for j in r.rejections)]
+        solutions = {k: x for r in parts for k, x in r.solutions.items()}
 
-        t_end = max((ws.t for ws in self.workers.values()), default=0.0)
+        t_end = max((ws.lane.t for ws in self.workers.values()),
+                    default=0.0)
         merged_stats = CacheStats(
-            hits=sum(r.slo.cache_hits for r in worker_results.values()),
-            misses=sum(r.slo.cache_misses for r in worker_results.values()),
-            evictions=sum(r.slo.cache_evictions
-                          for r in worker_results.values()),
-            resident_bytes=sum(r.slo.cache_resident_bytes
-                               for r in worker_results.values()),
-            resident_entries=sum(
-                ws.svc.cache.stats.resident_entries
-                for ws in self.workers.values()),
-            peak_bytes=max((r.slo.cache_peak_bytes
-                            for r in worker_results.values()), default=0))
-        areas = [ws.qdepth.area for ws in self.workers.values()]
-        horizon = max((ws.qdepth._t for ws in self.workers.values()),
+            hits=sum(r.slo.cache_hits for r in parts),
+            misses=sum(r.slo.cache_misses for r in parts),
+            evictions=sum(r.slo.cache_evictions for r in parts),
+            resident_bytes=sum(r.slo.cache_resident_bytes for r in parts),
+            resident_entries=sum(ws.svc.cache.stats.resident_entries
+                                 for ws in self.workers.values()),
+            peak_bytes=max((r.slo.cache_peak_bytes for r in parts),
+                           default=0))
+        areas = [ws.lane.qdepth.area for ws in self.workers.values()]
+        horizon = max((ws.lane.qdepth._t for ws in self.workers.values()),
                       default=0.0)
         fleet_slo = build_slo(
             n_requests=len(workload),
             latencies=[c.latency for c in completions],
             deadline_met=[c.deadline_met for c in completions],
             shed_reasons=[str(r.reason) for r in rejections],
-            batch_sizes=[b.size for i in sorted(worker_results)
-                         for b in worker_results[i].batches],
-            queue_samples=[s for i in sorted(worker_results)
-                           for s in worker_results[i].queue_samples],
+            batch_sizes=[b.size for r in parts for b in r.batches],
+            queue_samples=[s for r in parts for s in r.queue_samples],
             queue_time_mean=(sum(areas) / horizon if horizon > 0 else 0.0),
             cache_stats=merged_stats,
-            setup_time=sum(ws.setup_total for ws in self.workers.values()),
-            solve_time=sum(ws.solve_total for ws in self.workers.values()),
+            setup_time=sum(r.slo.setup_time for r in parts),
+            solve_time=sum(r.slo.solve_time for r in parts),
             makespan=max((c.t_complete for c in completions), default=t_end),
-            deduped=sum(r.deduped for r in worker_results.values()),
-            n_verified=sum(r.n_verified for r in worker_results.values()),
+            deduped=sum(r.deduped for r in parts),
+            n_verified=sum(r.n_verified for r in parts),
             n_integrity_failures=sum(len(r.integrity_failures)
-                                     for r in worker_results.values()),
-            n_replayed=sum(r.n_replayed for r in worker_results.values()))
+                                     for r in parts),
+            n_replayed=sum(r.n_replayed for r in parts))
 
         front_shed: dict[str, int] = {}
         for rej in self.front_rejections:

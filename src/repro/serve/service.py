@@ -1,8 +1,8 @@
 """The solve service: a virtual-time loop tying the tier together.
 
 :class:`SolveService` models a single-server solve endpoint in the same
-virtual time as the communication simulator underneath it.  The loop is
-classic discrete-event serving:
+virtual time as the communication simulator underneath it.  Its loop,
+:class:`Lane` (also each fleet worker's), is discrete-event serving:
 
 1. requests are admitted (or shed, typed) at their arrival instants by the
    :class:`~repro.serve.scheduler.BatchingScheduler`;
@@ -34,6 +34,8 @@ over a lossy fabric (each batch gets an independent fork of the plan) with
 
 from __future__ import annotations
 
+import bisect
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -54,7 +56,7 @@ from repro.matrices import (
 from repro.numfact import solve_residual, stability_report
 from repro.obs.metrics import PhaseStats
 from repro.replay.api import replay_hot, run_program
-from repro.serve.cache import CacheKey, FactorizationCache
+from repro.serve.cache import CacheKey, CacheStats, FactorizationCache
 from repro.serve.scheduler import (
     BatchingScheduler,
     BatchPolicy,
@@ -168,23 +170,32 @@ class ServeResult:
     n_verified: int = 0              # completions sampled for integrity
     integrity_failures: list = field(default_factory=list)  # audit records
     n_replayed: int = 0              # batches served by the replay fast path
-    # id(program) -> hot batches whose values are not computed yet; empty
-    # once run() returns.
-    _panels: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # The lane's id(program) -> hot batches still without values: empty.
+    _panels: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
 class _Batch:
-    """What a batch's values are checked and fanned out from."""
+    """What a batch's values are computed, checked and fanned out from."""
 
     solver: SpTRSVSolver
     B: np.ndarray                    # distinct columns, original row order
-    batch_id: int
-    live: list[Request]
     col_of: dict                     # dedup key -> column of B
     faulted: bool
     algorithm: str
+    prog: object = None              # hot: the value program of its panel
+
+
+@dataclass
+class _Record:
+    """One dispatched batch with every effect it has on a lane's result
+    (which is the fold of the lane's surviving records)."""
+
+    batch: BatchRecord
+    completions: list[Completion]
+    job: _Batch | None               # dropped once the values fan out
+    solutions: dict = field(default_factory=dict)   # request id -> x
+    failures: list = field(default_factory=list)    # integrity audit records
 
 
 class _QueueDepthIntegral:
@@ -312,80 +323,18 @@ class SolveService:
     def run(self, workload: Workload) -> ServeResult:
         """Serve ``workload`` to completion; deterministic in its inputs."""
         arrivals = sorted(workload.requests, key=lambda r: (r.arrival, r.id))
-        sched = BatchingScheduler(policy=self.policy)
-        res = ServeResult(completions=[], rejections=[], batches=[],
-                          queue_samples=[])
-        comm = PhaseStats() if self.profile else None
-        qdepth = _QueueDepthIntegral()
-        setup_total = 0.0
-        solve_total = 0.0
-        t = 0.0
-        i = 0
-        while i < len(arrivals) or sched.depth():
-            while i < len(arrivals) and arrivals[i].arrival <= t:
-                r = arrivals[i]
-                i += 1
-                rej = sched.offer(r, r.arrival)
-                if rej is not None:
-                    res.rejections.append(rej)
-                qdepth.record(r.arrival, sched.depth())
-            expired = sched.expire(t)
-            if expired:
-                res.rejections.extend(expired)
-                qdepth.record(t, sched.depth())
-            res.queue_samples.append(sched.depth())
-
-            key = sched.ready_group(t)
-            if key is None:
-                # Idle: jump to the next arrival, batch-age or expiry
-                # trigger.
-                nexts = []
-                if i < len(arrivals):
-                    nexts.append(arrivals[i].arrival)
-                trig = sched.next_trigger()
-                if trig is not None:
-                    nexts.append(trig)
-                if not nexts:
-                    break
-                t = max(t, min(nexts))
-                continue
-
-            batch, shed = sched.pop_batch(key, t)
-            res.rejections.extend(shed)
-            qdepth.record(t, sched.depth())
-            if not batch:
-                continue
-            nb = len(res.batches)
-            t = self._dispatch(batch, t, res, comm)
-            if len(res.batches) > nb:  # batch may shed entirely (poison)
-                setup_total += res.batches[-1].setup_time
-                solve_total += res.batches[-1].solve_time
-
-        self._flush(res)
-        qdepth.record(t, sched.depth())
-        res.slo = build_slo(
-            n_requests=len(workload),
-            latencies=[c.latency for c in res.completions],
-            deadline_met=[c.deadline_met for c in res.completions],
-            shed_reasons=[str(r.reason) for r in res.rejections],
-            batch_sizes=[b.size for b in res.batches],
-            queue_samples=res.queue_samples,
-            queue_time_mean=qdepth.mean(),
-            cache_stats=self.cache.stats,
-            setup_time=setup_total, solve_time=solve_total,
-            makespan=max((c.t_complete for c in res.completions), default=t),
-            comm=comm, deduped=res.deduped, n_verified=res.n_verified,
-            n_integrity_failures=len(res.integrity_failures),
-            n_replayed=res.n_replayed)
+        lane = Lane(self, [(r.arrival, r.id, r) for r in arrivals])
+        lane.advance(math.inf)
+        res = lane.finish(len(workload), self.cache.stats)
         if self.invariants:
             from repro.check.invariants import check_serve
 
             check_serve(workload, res, service=self)
         return res
 
-    def _dispatch(self, batch: list[Request], t: float, res: ServeResult,
-                  comm: PhaseStats | None) -> float:
-        """Run one batched solve; returns the server's new free time.
+    def _dispatch(self, batch: list[Request], lane: Lane) -> _Record | None:
+        """Run one batched solve at the lane's clock; returns its record,
+        or ``None`` when every request in it was shed.
 
         Hardened against poison inputs: a matrix that fails ingestion (or
         the stability gate) sheds the whole batch with typed
@@ -393,8 +342,11 @@ class SolveService:
         only its request.  Duplicate requests (equal
         :func:`~repro.serve.scheduler.dedup_key`) share one solved column
         fanned out to every caller.  Shedding charges no virtual time —
-        rejecting is the cheap path by design.
+        rejecting is the cheap path by design.  A simulated batch's values
+        fan out here; a hot replayed batch's record keeps its job for the
+        program's panel.
         """
+        t, batch_id = lane.t, len(lane.records)
         name, scale = batch[0].matrix, batch[0].scale
         try:
             solver, setup, hit = self.cache.get_or_build(
@@ -402,10 +354,10 @@ class SolveService:
                 lambda: self._build_solver(name, scale))
         except InvalidMatrixError as err:
             self._poison[(name, scale)] = err
-            res.rejections.extend(
+            lane.rejections.extend(
                 Rejection(r, RejectReason.POISON_INPUT, t, detail=err.reason)
                 for r in batch)
-            return t
+            return None
 
         # One column per distinct dedup key; malformed RHS sheds its
         # request (and, transitively, its duplicates — identical bits).
@@ -421,18 +373,16 @@ class SolveService:
                 b = r.rhs(solver.n)
                 validate_rhs(solver.n, b)
             except InvalidRhsError as err:
-                res.rejections.append(Rejection(
+                lane.rejections.append(Rejection(
                     r, RejectReason.POISON_INPUT, t, detail=err.reason))
                 continue
             col_of[k] = len(columns)
             columns.append(b if b.ndim == 2 else b[:, None])
             live.append(r)
         if not columns:
-            return t
-        res.deduped += len(live) - len(columns)
+            return None
 
         B = np.hstack(columns)
-        batch_id = len(res.batches)
         algorithm = self._resolve_algorithm(solver, B.shape[1])
         kw: dict = dict(algorithm=algorithm,
                         device=self.config.device, profile=self.profile)
@@ -462,8 +412,8 @@ class SolveService:
         if hot is not None:
             prog, report = hot
             resil = None
-            res.n_replayed += 1
         else:
+            prog = None
             out = solver.solve_blocked(B, rhs_block=self.policy.max_batch,
                                        **kw)
             report, resil = out.report, out.resilience
@@ -478,59 +428,34 @@ class SolveService:
                 check_metrics(report)
         solve_time = (resil.total_time if resil is not None
                       else report.total_time)
-        if comm is not None and report.metrics is not None:
-            comm.add(report.metrics.stats())
+        if lane.comm is not None and report.metrics is not None:
+            lane.comm.add(report.metrics.stats())
 
         t_done = t + setup + solve_time
-        for r in live:
-            res.completions.append(Completion(request=r, t_complete=t_done,
-                                              batch_id=batch_id))
-            if self.keep_solutions:
-                res.solutions[r.id] = None      # keeps completion order
-        res.batches.append(BatchRecord(
-            batch_id=batch_id, matrix=name, scale=scale, size=len(columns),
-            request_ids=[r.id for r in live], t_dispatch=t,
-            t_complete=t_done, cache_hit=hit, setup_time=setup,
-            solve_time=solve_time, replayed=hot is not None))
-        if self.verify_fraction > 0.0:
-            res.n_verified += sum(1 for r in live if self._sampled(r.id))
-        job = _Batch(solver, B, batch_id, live, col_of, "faults" in kw,
-                     algorithm)
+        rec = _Record(
+            batch=BatchRecord(
+                batch_id=batch_id, matrix=name, scale=scale,
+                size=len(columns), request_ids=[r.id for r in live],
+                t_dispatch=t, t_complete=t_done, cache_hit=hit,
+                setup_time=setup, solve_time=solve_time,
+                replayed=hot is not None),
+            completions=[Completion(request=r, t_complete=t_done,
+                                    batch_id=batch_id) for r in live],
+            job=_Batch(solver, B, col_of, "faults" in kw, algorithm, prog))
         if hot is None:
-            self._finish(job, out.x if out.x.ndim == 2 else out.x[:, None],
-                         res)
-            return t_done
-        panel = res._panels.get(id(prog))
-        if panel and sum(j.B.shape[1] for j in panel[1]) + B.shape[1] \
-                > PANEL_COLUMNS:
-            self._flush_panel(res, id(prog))
-        res._panels.setdefault(id(prog), (prog, []))[1].append(job)
-        return t_done
+            self._fan_out(rec, out.x if out.x.ndim == 2 else out.x[:, None])
+        return rec
 
-    def _flush(self, res: ServeResult) -> None:
-        """Compute every queued hot batch's values (panel by panel)."""
-        for key in list(res._panels):
-            self._flush_panel(res, key)
-
-    def _flush_panel(self, res: ServeResult, key: int) -> None:
-        prog, jobs = res._panels.pop(key)
-        solver = jobs[0].solver
-        B = np.hstack([j.B for j in jobs])
-        X = run_program(solver, prog, B[solver.perm], B.shape[1])
-        c0 = 0
-        for j in jobs:
-            c1 = c0 + j.B.shape[1]
-            self._finish(j, X[:, c0:c1], res)
-            c0 = c1
-
-    def _finish(self, job: _Batch, X: np.ndarray, res: ServeResult) -> None:
-        """Fan one batch's solved columns out to its requests and check the
-        sampled ones."""
+    def _fan_out(self, rec: _Record, X: np.ndarray) -> None:
+        """Fan a batch's solved columns out to its requests, check the
+        sampled ones, and let go of its right-hand sides."""
+        job, rec.job = rec.job, None
         if self.keep_solutions:
-            for r in job.live:
-                res.solutions[r.id] = X[:, job.col_of[dedup_key(r)]].copy()
+            rec.solutions = {
+                c.request.id: X[:, job.col_of[dedup_key(c.request)]].copy()
+                for c in rec.completions}
         if self.verify_fraction > 0.0:
-            self._verify_batch(job, X, res)
+            self._verify_batch(rec, job, X)
 
     def _resolve_algorithm(self, solver: SpTRSVSolver, nrhs: int) -> str:
         """The algorithm this batch actually runs.
@@ -554,8 +479,8 @@ class SolveService:
         h = zlib.crc32(f"{self.verify_seed}:{request_id}".encode())
         return (h % 1_000_000) < self.verify_fraction * 1_000_000
 
-    def _verify_batch(self, job: _Batch, X: np.ndarray,
-                      res: ServeResult) -> None:
+    def _verify_batch(self, rec: _Record, job: _Batch,
+                      X: np.ndarray) -> None:
         """Re-check sampled completions of one batch (host-time observer).
 
         Every sampled answer must meet the residual bound; on fault-free
@@ -563,13 +488,16 @@ class SolveService:
         single-RHS solve on the same cached factorization (the batching
         contract).  Faulted batches may have legitimately degraded to a
         fallback tier whose bits differ, so only the residual applies.
-        Failures are recorded — never silently dropped — and surface as
-        ``n_integrity_failures`` in the SLO report, where the degradation
-        contracts pin them to zero.  ``n_verified`` is counted at dispatch
-        (it needs no values); this runs when ``X`` exists.
+        Failures are recorded on the batch's record — never silently
+        dropped — and surface as ``n_integrity_failures`` in the SLO
+        report, where the degradation contracts pin them to zero.
+        ``n_verified`` is a fold over the completions (it needs no
+        values); this runs when ``X`` exists.
         """
         checked: set = set()
-        for r in job.live:
+        batch_id = rec.batch.batch_id
+        for c in rec.completions:
+            r = c.request
             col = job.col_of[dedup_key(r)]
             if col in checked or not self._sampled(r.id):
                 continue            # duplicate shares the verified column
@@ -578,14 +506,179 @@ class SolveService:
             b = job.B[:, col]
             rel = solve_residual(job.solver.A, x[:, None], b[:, None])
             if rel > INTEGRITY_TOL:
-                res.integrity_failures.append(
-                    {"request_id": r.id, "batch_id": job.batch_id,
+                rec.failures.append(
+                    {"request_id": r.id, "batch_id": batch_id,
                      "kind": "residual", "value": float(rel)})
                 continue
             if not job.faulted:
                 ref = job.solver.solve(b, algorithm=job.algorithm,
                                        device=self.config.device).x
                 if not np.array_equal(x, ref):
-                    res.integrity_failures.append(
-                        {"request_id": r.id, "batch_id": job.batch_id,
+                    rec.failures.append(
+                        {"request_id": r.id, "batch_id": batch_id,
                          "kind": "bit-mismatch", "value": 0.0})
+
+
+class Lane:
+    """The service loop: one server's clock, queue, backlog and records.
+
+    :meth:`SolveService.run` advances one lane to ∞; a fleet advances one
+    lane per worker, epoch by epoch.  Each dispatched batch is one record
+    carrying all of its effects and :meth:`finish` folds the surviving
+    records, so a crash drops the in-flight record instead of undoing it.
+    """
+
+    def __init__(self, svc: SolveService,
+                 backlog: list[tuple[float, int, Request]] | None = None,
+                 t0: float = 0.0):
+        self.svc = svc
+        self.sched = BatchingScheduler(policy=svc.policy)
+        # Unadmitted requests, sorted (t_effective, id, Request): the instant
+        # each reached this lane's door.  ``bi`` is the admission cursor.
+        self.backlog = backlog if backlog is not None else []
+        self.bi = 0
+        self.t = t0
+        self.qdepth = _QueueDepthIntegral()
+        self.comm = PhaseStats() if svc.profile else None
+        self.rejections: list[Rejection] = []
+        self.queue_samples: list[int] = []
+        self.records: list[_Record] = []
+        # id(program) -> hot records whose values wait for that panel.
+        self.panels: dict[int, list[_Record]] = {}
+
+    def deliver(self, r: Request, t: float) -> None:
+        """Queue ``r`` for admission at ``t``."""
+        bisect.insort(self.backlog, (t, r.id, r))
+
+    def logical_depth(self) -> int:
+        """Queued plus routed-but-unadmitted — the backpressure gauge."""
+        return len(self.backlog) - self.bi + self.sched.depth()
+
+    def completions(self) -> list[Completion]:
+        """Every completion so far, in-flight batch included."""
+        return [c for rec in self.records for c in rec.completions]
+
+    def advance(self, horizon: float) -> None:
+        """Run the events strictly before ``horizon``.  A batch may finish
+        past it; the next call resumes from that completion, so an epoch
+        cut leaves the trajectory unchanged."""
+        sched, backlog = self.sched, self.backlog
+        while self.t < horizon:
+            while self.bi < len(backlog) and backlog[self.bi][0] <= self.t:
+                t_eff, _, r = backlog[self.bi]
+                self.bi += 1
+                rej = sched.offer(r, t_eff)
+                if rej is not None:
+                    self.rejections.append(rej)
+                self.qdepth.record(t_eff, sched.depth())
+            expired = sched.expire(self.t)
+            if expired:
+                self.rejections.extend(expired)
+                self.qdepth.record(self.t, sched.depth())
+            self.queue_samples.append(sched.depth())
+
+            key = sched.ready_group(self.t)
+            if key is None:
+                # Idle: jump to the next arrival, batch-age or expiry
+                # trigger.
+                nexts = [x for x in (backlog[self.bi][0]
+                                     if self.bi < len(backlog) else None,
+                                     sched.next_trigger())
+                         if x is not None and x < horizon]
+                if not nexts:
+                    break
+                self.t = max(self.t, min(nexts))
+                continue
+
+            batch, shed = sched.pop_batch(key, self.t)
+            self.rejections.extend(shed)
+            self.qdepth.record(self.t, sched.depth())
+            if batch:
+                self._dispatch(batch)
+
+    def _dispatch(self, batch: list[Request]) -> None:
+        rec = self.svc._dispatch(batch, self)
+        if rec is None:
+            return
+        self.records.append(rec)
+        self.t = rec.batch.t_complete
+        if rec.job is None:
+            return
+        key = id(rec.job.prog)
+        queued = self.panels.get(key)
+        if queued and sum(q.batch.size for q in queued) + rec.batch.size \
+                > PANEL_COLUMNS:
+            self._flush_panel(key)
+        self.panels.setdefault(key, []).append(rec)
+
+    def _flush_panel(self, key: int) -> None:
+        """Compute one panel's values and fan them out to its records."""
+        recs = self.panels.pop(key)
+        job = recs[0].job
+        B = np.hstack([rec.job.B for rec in recs])
+        X = run_program(job.solver, job.prog, B[job.solver.perm], B.shape[1])
+        c0 = 0
+        for rec in recs:
+            c1 = c0 + rec.batch.size
+            self.svc._fan_out(rec, X[:, c0:c1])
+            c0 = c1
+
+    def collapse(self, t: float) -> list[Request]:
+        """Evacuate the lane at crash instant ``t``: every request alive
+        on it, the in-flight batch's first (its record and queued panel
+        job are dropped), then the waiting room's, then the backlog's."""
+        lost: list[Request] = []
+        if self.records and self.records[-1].batch.t_complete > t:
+            rec = self.records.pop()
+            lost.extend(c.request for c in rec.completions)
+            if rec.job is not None:
+                key = id(rec.job.prog)
+                self.panels[key].pop()      # the last record dispatched
+                if not self.panels[key]:
+                    del self.panels[key]
+        lost.extend(self.sched.drain())
+        lost.extend(r for _, _, r in self.backlog[self.bi:])
+        self.bi = len(self.backlog)
+        self.qdepth.record(t, 0)
+        self.t = t
+        return lost
+
+    def revive(self, svc: SolveService, t: float) -> None:
+        """Resume at ``t`` through a fresh service with an empty queue."""
+        self.svc = svc
+        self.sched = BatchingScheduler(policy=svc.policy)
+        self.t = max(self.t, t)
+
+    def finish(self, n_requests: int, cache_stats: CacheStats) -> ServeResult:
+        """Compute every queued panel and fold the records into a result."""
+        for key in list(self.panels):
+            self._flush_panel(key)
+        self.qdepth.record(self.t, self.sched.depth())
+        batches = [rec.batch for rec in self.records]
+        done = self.completions()
+        res = ServeResult(
+            completions=done, rejections=self.rejections,
+            batches=batches, queue_samples=self.queue_samples,
+            solutions={k: x for rec in self.records
+                       for k, x in rec.solutions.items()},
+            deduped=sum(len(b.request_ids) - b.size for b in batches),
+            n_verified=sum(self.svc._sampled(c.request.id) for c in done),
+            integrity_failures=[f for rec in self.records
+                                for f in rec.failures],
+            n_replayed=sum(b.replayed for b in batches),
+            _panels=self.panels)
+        res.slo = build_slo(
+            n_requests=n_requests,
+            latencies=[c.latency for c in done],
+            deadline_met=[c.deadline_met for c in done],
+            shed_reasons=[str(r.reason) for r in self.rejections],
+            batch_sizes=[b.size for b in batches],
+            queue_samples=self.queue_samples,
+            queue_time_mean=self.qdepth.mean(), cache_stats=cache_stats,
+            setup_time=sum((b.setup_time for b in batches), 0.0),
+            solve_time=sum((b.solve_time for b in batches), 0.0),
+            makespan=max((c.t_complete for c in done), default=self.t),
+            comm=self.comm, deduped=res.deduped, n_verified=res.n_verified,
+            n_integrity_failures=len(res.integrity_failures),
+            n_replayed=res.n_replayed)
+        return res

@@ -28,8 +28,10 @@ from repro.fleet import (
 )
 from repro.serve import (
     BatchPolicy,
+    Request,
     ServiceConfig,
     SolveService,
+    Workload,
     WorkloadSpec,
     generate_bulk_workload,
     generate_workload,
@@ -323,6 +325,53 @@ def test_crash_inside_a_replayed_batch_matches_the_simulated_fleet():
     assert doc(got) == doc(ref)
 
 
+def test_crash_inside_a_simulated_batch_drops_its_record():
+    """A crash in the middle of a cold (simulated) batch whose values,
+    dedup fan-out and verification already happened at dispatch: the
+    worker keeps none of it, and its SLO is exactly the fold of the
+    batches that survive."""
+    wl = Workload(requests=[
+        Request(id=i, arrival=i * 2e-5, matrix=("ldoor", "nlpkkt80")[i % 2],
+                scale="tiny", rhs_seed=i - 2 if i % 3 == 2 else i,
+                deadline=1.0)
+        for i in range(40)])
+
+    def fleet(crash=None):
+        return FleetService(
+            FleetConfig(workers=2), ServiceConfig(**GRID),
+            BatchPolicy(max_batch=4, max_wait=1e-3, queue_bound=64),
+            crash_schedule=crash, keep_solutions=True, invariants=True,
+            verify_fraction=1.0)
+
+    probe = fleet().run(wl)
+    w, b = next((i, b) for i, r in sorted(probe.workers.items())
+                for b in r.batches
+                if not b.replayed and len(b.request_ids) > b.size)
+    tc = (b.t_dispatch + b.t_complete) / 2
+    assert b.t_dispatch <= tc < b.t_complete
+    fs = fleet(_crash(w, tc, tc + 4e-3))
+    res = fs.run(wl)
+    assert res.counters["n_crashes"] == 1
+    wr = res.workers[w]
+    kept = {c.request.id for c in wr.completions}
+    assert not kept & set(b.request_ids)
+    assert set(b.request_ids) <= {c.request.id for c in res.completions}
+    assert [x.batch_id for x in wr.batches] == list(range(len(wr.batches)))
+    assert list(wr.solutions) == [c.request.id for c in wr.completions]
+    slo = wr.slo
+    assert slo.n_completed == sum(len(x.request_ids) for x in wr.batches)
+    assert slo.n_batches == len(wr.batches)
+    assert slo.deduped == wr.deduped == sum(len(x.request_ids) - x.size
+                                            for x in wr.batches)
+    assert slo.n_replayed == sum(x.replayed for x in wr.batches)
+    assert slo.setup_time == sum((x.setup_time for x in wr.batches), 0.0)
+    assert slo.solve_time == sum((x.solve_time for x in wr.batches), 0.0)
+    assert slo.n_verified == slo.n_completed
+    assert res.slo.n_verified == res.slo.n_completed == len(wl)
+    assert res.slo.n_integrity_failures == 0
+    assert check_fleet(wl, res, service=fs) > 0
+
+
 # --------------------------------------------------------- autoscaler
 
 
@@ -448,3 +497,55 @@ def test_fleet_admission_bound_sheds_typed():
     assert res.counters["front_shed"]["queue-full"] == len(front)
     assert res.slo.n_completed + res.slo.n_shed == len(wl)
     assert check_fleet(wl, res, service=fs) > 0
+
+
+def test_service_lane_structure_guard():
+    """The serving loop is written once (``Lane.advance``), the SLO fold
+    twice (a lane's, the fleet's), and the fleet neither reaches into the
+    service's private names nor edits a result's counters by hand — its
+    crash handling drops a lane's record instead."""
+    import ast
+    import pathlib
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).parent
+    callers: dict = {"ready_group": set(), "pop_batch": set(),
+                     "build_slo": []}
+    offenders = []
+    folded = {"deduped", "n_verified", "n_replayed", "integrity_failures",
+              "setup_total", "solve_total", "setup_time", "solve_time"}
+    for path in sorted([*src.glob("serve/*.py"), *src.glob("fleet/*.py")]):
+        rel = str(path.relative_to(src))
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func).rsplit(".", 1)[-1]
+                    if name in ("ready_group", "pop_batch"):
+                        callers[name].add(f"{rel}:{fn.name}")
+                    elif name == "build_slo":
+                        callers[name].append(f"{rel}:{node.lineno}")
+        if rel != "fleet/service.py":
+            continue
+        for node in ast.walk(tree):
+            where = f"{rel}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").startswith("repro.serve"):
+                offenders += [f"{where}: imports {a.name}"
+                              for a in node.names if a.name.startswith("_")]
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "_dispatch", "_flush", "_flush_panel", "_sampled"):
+                offenders.append(f"{where}: {ast.unparse(node)}")
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AugAssign)
+                       else [])
+            offenders += [f"{where}: assigns {ast.unparse(t)}"
+                          for t in targets
+                          if isinstance(t, ast.Attribute) and t.attr in folded]
+    assert callers["ready_group"] == callers["pop_batch"] \
+        == {"serve/service.py:advance"}
+    assert len(callers["build_slo"]) <= 2, callers["build_slo"]
+    assert not offenders, "\n".join(offenders)
