@@ -44,8 +44,8 @@ RATE = 1e6        # always backlogged: isolates routing/sharding gain
 ZIPF_S = 1.0
 REPLICATION = 2
 CFG = ServiceConfig(px=1, py=1, pz=4)
-BENCH_JSON = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_fleet.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_JSON = os.path.join(ROOT, "BENCH_fleet.json")
 
 
 def _workload():
@@ -135,7 +135,7 @@ def test_fleet_throughput_vs_workers(benchmark):
         {"req/s": [(w, thr[w]) for w in WORKER_COUNTS]},
         title="Fleet throughput vs workers (Zipf stream)",
         xlabel="workers", ylabel="req/s"))
-    rows.append(f"wrote {os.path.relpath(BENCH_JSON)} "
+    rows.append(f"wrote {os.path.relpath(BENCH_JSON, ROOT)} "
                 f"(headline scaling {scaling:.2f}x at 4 workers)")
     write_report("fleet_scaling.txt", rows)
 

@@ -47,8 +47,8 @@ RATE = 1e6        # effectively "always backlogged": isolates batching gain
 CFG = ServiceConfig(px=1, py=1, pz=4)
 # Machine-readable trajectory artifact, checked in at the repo root and
 # regression-gated in CI (tools/check_bench_regression.py).
-BENCH_JSON = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_serve.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_JSON = os.path.join(ROOT, "BENCH_serve.json")
 
 
 def run_sweep():
@@ -233,7 +233,7 @@ def test_serve_replay_fast_path(benchmark):
         rows.append(f"{cap:4d} {sim_wall * 1e3:10.1f} {rep_wall * 1e3:10.1f} "
                     f"{sim_wall / rep_wall:7.2f}x {slo.throughput:14.1f}")
     rows.append("")
-    rows.append(f"wrote {os.path.relpath(BENCH_JSON)} "
+    rows.append(f"wrote {os.path.relpath(BENCH_JSON, ROOT)} "
                 f"(headline speedup {doc['headline']['replay_speedup']:.2f}x "
                 f"at max-batch {top})")
     write_report("serve_replay.txt", rows)

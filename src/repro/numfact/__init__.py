@@ -1,15 +1,16 @@
 """Numeric factorization substrate.
 
-A from-scratch supernodal block-sparse LU (right-looking, no pivoting —
-generators guarantee diagonal dominance, which Gaussian elimination
-preserves).  The resulting :class:`BlockSparseLU` is the exact object the
-paper's solvers consume: dense supernode-block columns of L, block rows of
-U, and precomputed inverses of the triangular diagonal blocks.
+A supernodal block-sparse LU without pivoting (generators guarantee
+diagonal dominance, which Gaussian elimination preserves): the block
+pattern from a symbolic block elimination, the values from SuperLU.  The
+resulting :class:`BlockSparseLU` is the exact object the paper's solvers
+consume: dense supernode-block columns of L, block rows of U, and
+precomputed inverses of the triangular diagonal blocks.
 """
 
 from repro.numfact.io import load_factors, save_factors
-from repro.numfact.leftlooking import lu_factorize_leftlooking
-from repro.numfact.lu import BlockSparseLU, dense_lu_nopivot, lu_factorize
+from repro.numfact.leftlooking import dense_lu_nopivot, lu_factorize_leftlooking
+from repro.numfact.lu import BlockSparseLU, lu_factorize
 from repro.numfact.skyline import (
     SkylineBlock,
     SkylineStats,

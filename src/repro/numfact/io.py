@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.numfact.lu import BlockSparseLU
+from repro.numfact.lu import BlockSparseLU, triangular_inverses
 from repro.symbolic.supernodes import SupernodePartition
 
 
@@ -52,26 +52,20 @@ def save_factors(path: str, lu: BlockSparseLU) -> None:
 def load_factors(path: str) -> BlockSparseLU:
     """Read a factorization written by :func:`save_factors`.
 
-    Diagonal inverses are recomputed on load (they are derived data).
+    Diagonal inverses are recomputed on load (they are derived data), the
+    way :func:`~repro.numfact.lu.lu_factorize` computes them.
     """
-    import scipy.linalg
-
     with np.load(path) as z:
         part = SupernodePartition(z["sn_start"])
         Lblocks = _unpack(z["l_idx"], z["l_data"], part)
         Ublocks = _unpack(z["u_idx"], z["u_data"], part)
-        diagL, diagU, diagLinv, diagUinv = [], [], [], []
+        diagL, diagU = [], []
         ofs = 0
         dl, du = z["diagL"], z["diagU"]
         for s in range(part.nsup):
             w = part.size(s)
             diagL.append(dl[ofs:ofs + w * w].reshape(w, w))
             diagU.append(du[ofs:ofs + w * w].reshape(w, w))
-            eye = np.eye(w)
-            diagLinv.append(scipy.linalg.solve_triangular(
-                diagL[-1], eye, lower=True, unit_diagonal=True))
-            diagUinv.append(scipy.linalg.solve_triangular(
-                diagU[-1], eye, lower=False))
             ofs += w * w
 
     nsup = part.nsup
@@ -83,7 +77,8 @@ def load_factors(path: str) -> BlockSparseLU:
         u_cols[K].append(J)
     return BlockSparseLU(
         partition=part, diagL=diagL, diagU=diagU,
-        diagLinv=diagLinv, diagUinv=diagUinv,
+        diagLinv=triangular_inverses(diagL, np.tril),
+        diagUinv=triangular_inverses(diagU, np.triu),
         Lblocks=Lblocks, Ublocks=Ublocks,
         l_blockrows=[np.array(sorted(r), dtype=np.int64) for r in l_rows],
         u_blockcols=[np.array(sorted(c), dtype=np.int64) for c in u_cols],

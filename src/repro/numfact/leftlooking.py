@@ -2,10 +2,11 @@
 
 SuperLU's distributed factorization is right-looking; its sequential
 ancestors (and the original SuperLU) are left-looking.  Both produce the
-same factors on the same pattern, so this implementation serves as an
-independent cross-check of :func:`repro.numfact.lu.lu_factorize` (the test
-suite compares them block by block) and as the natural base for
-factorization variants that update panels lazily.
+same factors on the same pattern, so this dense-block implementation serves
+as an independent cross-check of :func:`repro.numfact.lu.lu_factorize`,
+whose values come from SuperLU (the test suite compares them block by
+block), and as the natural base for factorization variants that update
+panels lazily.
 
 For each supernode ``K`` (ascending), the block column ``K`` is gathered
 from ``A`` and updated by every earlier supernode ``J`` with ``U(J,K)``
@@ -21,15 +22,59 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from repro.numfact.lu import BlockSparseLU, _scatter_blocks, dense_lu_nopivot
+from repro.numfact.lu import BlockSparseLU
 from repro.symbolic.supernodes import SupernodePartition
+
+
+def dense_lu_nopivot(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense LU without pivoting: returns (unit-lower L, upper U).
+
+    Raises ``ZeroDivisionError``-style ``np.linalg.LinAlgError`` if a zero
+    pivot is hit (the generators' diagonal dominance rules this out).
+    """
+    m = D.shape[0]
+    LU = np.array(D, dtype=np.float64, copy=True)
+    for k in range(m - 1):
+        piv = LU[k, k]
+        if piv == 0.0:
+            raise np.linalg.LinAlgError(f"zero pivot at position {k}")
+        LU[k + 1:, k] /= piv
+        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
+    if m and LU[m - 1, m - 1] == 0.0:
+        raise np.linalg.LinAlgError(f"zero pivot at position {m - 1}")
+    L = np.tril(LU, -1) + np.eye(m)
+    U = np.triu(LU)
+    return L, U
+
+
+def _scatter_blocks(A: sp.csc_matrix, part: SupernodePartition
+                    ) -> dict[tuple[int, int], np.ndarray]:
+    """Scatter scalar entries of A into dense supernode blocks."""
+    coo = sp.coo_matrix(A)
+    col2sn = part.col2sn()
+    bi = col2sn[coo.row]
+    bj = col2sn[coo.col]
+    order = np.lexsort((coo.col, coo.row, bj, bi))
+    bi, bj = bi[order], bj[order]
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    # Group runs of equal (bi, bj).
+    key = bi * part.nsup + bj
+    starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
+    ends = np.r_[starts[1:], len(key)]
+    work: dict[tuple[int, int], np.ndarray] = {}
+    for s, e in zip(starts, ends):
+        I, J = int(bi[s]), int(bj[s])
+        blk = np.zeros((part.size(I), part.size(J)))
+        blk[rows[s:e] - part.first(I), cols[s:e] - part.first(J)] = vals[s:e]
+        work[(I, J)] = blk
+    return work
 
 
 def lu_factorize_leftlooking(A: sp.spmatrix,
                              partition: SupernodePartition) -> BlockSparseLU:
     """Left-looking supernodal LU of ``A`` over ``partition``.
 
-    Produces factors identical (to rounding) to the right-looking
+    Produces factors identical (to rounding) to
     :func:`~repro.numfact.lu.lu_factorize`.
     """
     A = sp.csc_matrix(A)

@@ -1,45 +1,18 @@
-"""Supernodal block-sparse LU factorization (right-looking, no pivoting).
-
-Blocks are dense ``size(I) x size(K)`` panels at supernode granularity;
-fill blocks are created lazily during the Schur updates, which produces a
-block pattern that is a superset of the scalar fill pattern (the standard
-supernodal storage trade-off).  The ancestor-ordering invariant the 3D
-layout needs — every block row of column K lies in a separator-tree node on
-the path from K's node to the root — is preserved by elimination (see
-DESIGN.md) and asserted by the distribution code.
-"""
+"""Supernodal block-sparse LU factorization (no pivoting): one SuperLU call
+in natural order with diagonal pivots, its values scattered one supernode
+panel at a time into dense blocks on :func:`repro.symbolic.block_pattern`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from repro.symbolic.fill import block_pattern
 from repro.symbolic.supernodes import SupernodePartition
 from repro.util import as_2d_rhs, matmul_columns
-
-
-def dense_lu_nopivot(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense LU without pivoting: returns (unit-lower L, upper U).
-
-    Raises ``ZeroDivisionError``-style ``np.linalg.LinAlgError`` if a zero
-    pivot is hit (the generators' diagonal dominance rules this out).
-    """
-    m = D.shape[0]
-    LU = np.array(D, dtype=np.float64, copy=True)
-    for k in range(m - 1):
-        piv = LU[k, k]
-        if piv == 0.0:
-            raise np.linalg.LinAlgError(f"zero pivot at position {k}")
-        LU[k + 1:, k] /= piv
-        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
-    if m and LU[m - 1, m - 1] == 0.0:
-        raise np.linalg.LinAlgError(f"zero pivot at position {m - 1}")
-    L = np.tril(LU, -1) + np.eye(m)
-    U = np.triu(LU)
-    return L, U
 
 
 @dataclass
@@ -72,27 +45,21 @@ class BlockSparseLU:
     def n(self) -> int:
         return self.partition.n
 
+    def _sizes(self) -> tuple[int, int]:
+        """Entries of the diagonal blocks (L and U share the footprint of
+        one) and of the off-diagonal blocks."""
+        return (sum(d.size for d in self.diagL),
+                sum(b.size for d in (self.Lblocks, self.Ublocks)
+                    for b in d.values()))
+
     def nnz_stored(self) -> int:
         """Scalar entries stored in all dense blocks (incl. both triangles)."""
-        total = 0
-        for s in range(self.nsup):
-            w = self.partition.size(s)
-            total += w * w  # diagonal L and U share the footprint of one block
-        total += sum(b.size for b in self.Lblocks.values())
-        total += sum(b.size for b in self.Ublocks.values())
-        return total
+        return sum(self._sizes())
 
     def solve_flops(self, nrhs: int = 1) -> int:
         """FLOPs of one sequential L+U solve (2mn per GEMM, m^2 per TRSV)."""
-        f = 0
-        for s in range(self.nsup):
-            w = self.partition.size(s)
-            f += 2 * w * w * nrhs * 2  # L and U diagonal applications
-        for (_, K), blk in self.Lblocks.items():
-            f += 2 * blk.size * nrhs
-        for (K, _), blk in self.Ublocks.items():
-            f += 2 * blk.size * nrhs
-        return f
+        diag, offdiag = self._sizes()
+        return (4 * diag + 2 * offdiag) * nrhs
 
     # ---- sequential reference solves -------------------------------------
 
@@ -135,16 +102,10 @@ class BlockSparseLU:
         part = self.partition
         n = self.n
 
-        def emit(blocks, diag, lower: bool):
+        def emit(blocks, diag):
             rows, cols, vals = [], [], []
-            for s in range(self.nsup):
-                c0 = part.first(s)
-                d = diag[s]
-                r, c = np.nonzero(d)
-                rows.append(r + c0)
-                cols.append(c + c0)
-                vals.append(d[r, c])
-            for (I, K), blk in blocks.items():
+            for (I, K), blk in [*(((s, s), d) for s, d in enumerate(diag)),
+                                *blocks.items()]:
                 r0 = part.first(I)
                 c0 = part.first(K)
                 r, c = np.nonzero(blk)
@@ -155,99 +116,77 @@ class BlockSparseLU:
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(n, n))
 
-        return emit(self.Lblocks, self.diagL, True), emit(self.Ublocks, self.diagU, False)
+        return emit(self.Lblocks, self.diagL), emit(self.Ublocks, self.diagU)
 
 
-def _scatter_blocks(A: sp.csc_matrix, part: SupernodePartition
-                    ) -> dict[tuple[int, int], np.ndarray]:
-    """Scatter scalar entries of A into dense supernode blocks."""
-    coo = sp.coo_matrix(A)
-    col2sn = part.col2sn()
-    bi = col2sn[coo.row]
-    bj = col2sn[coo.col]
-    order = np.lexsort((coo.col, coo.row, bj, bi))
-    bi, bj = bi[order], bj[order]
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    # Group runs of equal (bi, bj).
-    key = bi * part.nsup + bj
-    starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
-    ends = np.r_[starts[1:], len(key)]
-    work: dict[tuple[int, int], np.ndarray] = {}
-    for s, e in zip(starts, ends):
-        I, J = int(bi[s]), int(bj[s])
-        blk = np.zeros((part.size(I), part.size(J)))
-        blk[rows[s:e] - part.first(I), cols[s:e] - part.first(J)] = vals[s:e]
-        work[(I, J)] = blk
-    return work
+def _panel(M, K: int, adj: np.ndarray, part: SupernodePartition,
+           lower: bool) -> list[np.ndarray]:
+    """K's columns of L (CSC) or rows of U (CSR), none before column s[K],
+    scattered into one buffer of C-contiguous blocks: K's diagonal block,
+    then those of ``adj``."""
+    s = part.sn_start
+    w, members = s[K + 1] - s[K], np.concatenate(([K], adj))
+    sizes = s[members + 1] - s[members]
+    base = np.concatenate(([0], np.cumsum(sizes))) * w
+    ptr = M.indptr[s[K]:s[K + 1] + 1]
+    minor, vals = M.indices[ptr[0]:ptr[-1]], M.data[ptr[0]:ptr[-1]]
+    k = np.searchsorted(s[members], minor, side="right") - 1
+    off = minor - s[members[k]]
+    if (off >= sizes[k]).any():
+        raise np.linalg.LinAlgError(f"SuperLU fill outside supernode {K}")
+    major = np.repeat(np.arange(w), ptr[1:] - ptr[:-1])
+    buf = np.zeros(base[-1])
+    buf[base[k] + (off * w + major if lower else major * sizes[k] + off)] = vals
+    return [buf[a:b].reshape((m, w) if lower else (w, m)) for a, b, m in
+            zip(base[:-1].tolist(), base[1:].tolist(), sizes.tolist())]
+
+
+def _scatter(M, adjs: list[np.ndarray], part: SupernodePartition,
+             lower: bool) -> tuple[list[np.ndarray], dict]:
+    """One factor's diagonal blocks and off-diagonal blocks, panel by panel."""
+    diag, blocks = [], {}
+    for K, adj in enumerate(adjs):
+        d, *offdiag = _panel(M, K, adj, part, lower)
+        diag.append(d)
+        blocks.update(zip([(I, K) if lower else (K, I) for I in adj.tolist()],
+                          offdiag))
+    return diag, blocks
+
+
+def triangular_inverses(diag: list[np.ndarray], tri) -> list[np.ndarray]:
+    """Inverses of triangular blocks: one batched inversion per block size."""
+    sizes, out = np.array([d.shape[0] for d in diag]), {}
+    for w in np.unique(sizes).tolist():
+        ks = np.flatnonzero(sizes == w).tolist()
+        out.update(zip(ks, tri(np.linalg.inv(np.stack([diag[k] for k in ks])))))
+    return [out[k] for k in range(len(diag))]
 
 
 def lu_factorize(A: sp.spmatrix, partition: SupernodePartition) -> BlockSparseLU:
-    """Right-looking supernodal LU of ``A`` over the given partition."""
+    """Supernodal LU of ``A`` over ``partition``, without pivoting: a
+    structurally zero diagonal block, an exactly singular matrix and a zero
+    pivot that only row pivoting avoids raise ``np.linalg.LinAlgError``."""
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] != partition.n:
         raise ValueError("matrix/partition size mismatch")
-    nsup = partition.nsup
-    work = _scatter_blocks(A, partition)
-
-    # Adjacency: for each K, current block rows below / block cols right.
-    rows_of: list[set[int]] = [set() for _ in range(nsup)]
-    cols_of: list[set[int]] = [set() for _ in range(nsup)]
-    for (I, J) in work:
-        if I > J:
-            rows_of[J].add(I)
-        elif J > I:
-            cols_of[I].add(J)
-        # diagonal blocks handled separately
-
-    diagL: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-    diagU: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-    diagLinv: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-    diagUinv: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-    Lblocks: dict[tuple[int, int], np.ndarray] = {}
-    Ublocks: dict[tuple[int, int], np.ndarray] = {}
-
-    for K in range(nsup):
-        D = work.pop((K, K), None)
-        if D is None:
-            raise np.linalg.LinAlgError(f"structurally zero diagonal block {K}")
-        Lkk, Ukk = dense_lu_nopivot(D)
-        diagL[K], diagU[K] = Lkk, Ukk
-        eye = np.eye(Lkk.shape[0])
-        diagLinv[K] = scipy.linalg.solve_triangular(Lkk, eye, lower=True,
-                                                    unit_diagonal=True)
-        diagUinv[K] = scipy.linalg.solve_triangular(Ukk, eye, lower=False)
-
-        lrows = sorted(rows_of[K])
-        ucols = sorted(cols_of[K])
-        # Panel factorization: L(I,K) = A(I,K) U(K,K)^-1, U(K,J) = L(K,K)^-1 A(K,J).
-        # Factorization-time block products: fixed square operands, no RHS
-        # panel, so the per-column reproducibility contract does not apply.
-        for I in lrows:
-            Lblocks[(I, K)] = work.pop((I, K)) @ diagUinv[K]  # repro: allow[RPR003]
-        for J in ucols:
-            Ublocks[(K, J)] = diagLinv[K] @ work.pop((K, J))  # repro: allow[RPR003]
-        # Schur complement updates (lazy fill creation).
-        for I in lrows:
-            LIK = Lblocks[(I, K)]
-            for J in ucols:
-                upd = LIK @ Ublocks[(K, J)]  # repro: allow[RPR003]
-                tgt = work.get((I, J))
-                if tgt is None:
-                    work[(I, J)] = -upd
-                    if I > J:
-                        rows_of[J].add(I)
-                    elif J > I:
-                        cols_of[I].add(J)
-                else:
-                    tgt -= upd
-
-    lu = BlockSparseLU(
-        partition=partition, diagL=diagL, diagU=diagU,
-        diagLinv=diagLinv, diagUinv=diagUinv,
-        Lblocks=Lblocks, Ublocks=Ublocks,
-        l_blockrows=[np.array(sorted(rows_of[K]), dtype=np.int64)
-                     for K in range(nsup)],
-        u_blockcols=[np.array(sorted(cols_of[K]), dtype=np.int64)
-                     for K in range(nsup)],
-    )
-    return lu
+    pattern = block_pattern(A, partition)
+    try:
+        slu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from None
+    if (np.stack([slu.perm_r, slu.perm_c]) != np.arange(partition.n)).any():
+        raise np.linalg.LinAlgError("zero pivot: SuperLU had to pivot rows")
+    # Peak RSS, not speed, binds here (a process builds many factors):
+    # SuperLU's own storage goes before the scatter, each copy after it.
+    L, U = slu.L, slu.U
+    del slu
+    diagL, Lblocks = _scatter(L, pattern[0], partition, lower=True)
+    del L
+    U = U.tocsr()
+    diagU, Ublocks = _scatter(U, pattern[1], partition, lower=False)
+    del U
+    diagLinv = triangular_inverses(diagL, np.tril)
+    diagUinv = triangular_inverses(diagU, np.triu)
+    return BlockSparseLU(partition, diagL, diagU, diagLinv, diagUinv,
+                         Lblocks, Ublocks, *pattern)

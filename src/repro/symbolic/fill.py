@@ -8,10 +8,13 @@ patterns along the elimination tree:
 
 From the per-column patterns it detects supernodes (columns with nested
 patterns), subject to a maximum size and to separator-tree boundaries.
+:func:`block_pattern` gives the block pattern a numeric LU stores over a
+partition.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,3 +152,35 @@ def symbolic_factor(A: sp.spmatrix,
 
     return SymbolicFactor(partition=partition, below_rows=below_rows,
                           nnz_L=nnz_L, nnz_U=nnz_L, parent=parent)
+
+
+def block_pattern(A: sp.spmatrix, part: SupernodePartition
+                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Symbolic block elimination: sorted ``(l_blockrows, u_blockcols)``.
+
+    Eliminating ``K`` creates block ``(I, J)`` for every block row ``I`` and
+    block column ``J`` of ``K`` (a superset of the scalar fill; it keeps the
+    3D layout's ancestor-ordering invariant, see DESIGN.md).  Raises
+    ``np.linalg.LinAlgError`` on a diagonal block neither stored nor filled.
+    """
+    nsup, col2sn = part.nsup, part.col2sn()
+    coo = sp.coo_matrix(A)
+    B = sp.csr_matrix((np.ones(coo.nnz), (col2sn[coo.row], col2sn[coo.col])),
+                      shape=(nsup, nsup))
+    up, lo = sp.triu(B, 1, format="csr"), sp.tril(B, -1, format="csc")
+    cols_of = [set(up.indices[up.indptr[K]:up.indptr[K + 1]].tolist())
+               for K in range(nsup)]
+    rows_of = [set(lo.indices[lo.indptr[K]:lo.indptr[K + 1]].tolist())
+               for K in range(nsup)]
+    diag = set(np.flatnonzero(B.diagonal()).tolist())
+    for K in range(nsup):
+        if K not in diag:
+            raise np.linalg.LinAlgError(f"structurally zero diagonal block {K}")
+        lrows, ucols = sorted(rows_of[K]), sorted(cols_of[K])
+        for I in lrows:
+            cols_of[I].update(ucols[bisect_right(ucols, I):])
+        for J in ucols:
+            rows_of[J].update(lrows[bisect_right(lrows, J):])
+        diag.update(rows_of[K] & cols_of[K])
+    return ([np.array(sorted(r), dtype=np.int64) for r in rows_of],
+            [np.array(sorted(c), dtype=np.int64) for c in cols_of])

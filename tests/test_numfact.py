@@ -44,6 +44,82 @@ def test_dense_lu_empty_and_one():
     assert U[0, 0] == 3.0
 
 
+# ---- typed failure: every refusal of lu_factorize is a LinAlgError ----------
+
+def test_lu_structurally_zero_diagonal_block_raises():
+    # Column 0's diagonal is not stored and no elimination step fills it.
+    A = sp.csr_matrix(np.array([[0.0, 1.0, 0.0],
+                                [1.0, 2.0, 1.0],
+                                [0.0, 1.0, 2.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="structurally zero"):
+        lu_factorize(A, fixed_partition(3, 1))
+
+
+def test_lu_zero_diagonal_filled_by_elimination_factors():
+    # (1, 1) is not stored, but eliminating column 0 fills it with -1.
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert A.nnz == 3
+    lu = lu_factorize(A, fixed_partition(2, 1))
+    assert factorization_residual(A, lu) < 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_lu_exactly_singular_raises(width):
+    # Eliminating column 0 zeroes the pivot of column 1, and column 1 has
+    # nothing left below it: singular with or without pivoting.
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                [4.0, 2.0, 0.0],
+                                [0.0, 0.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="singular"):
+        sp.linalg.splu(sp.csc_matrix(A), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        lu_factorize(A, fixed_partition(3, width))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_lu_zero_pivot_that_pivoting_would_fix_raises(width):
+    # Column 1's pivot is zero after eliminating column 0, but row 2 offers
+    # a nonzero: SuperLU swaps rows even at threshold 0.  Factoring without
+    # pivoting must refuse instead.
+    A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
+                                [1.0, 1.0, 1.0],
+                                [0.0, 1.0, 1.0]]))
+    slu = sp.linalg.splu(sp.csc_matrix(A), permc_spec="NATURAL",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    assert not np.array_equal(slu.perm_r, np.arange(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        lu_factorize(A, fixed_partition(3, width))
+
+
+def test_lu_superlu_fill_outside_block_pattern_raises(monkeypatch):
+    # Drop one L block from the symbolic pattern: SuperLU's entries there
+    # must be refused, not silently lost.
+    import repro.numfact.lu as lu_mod
+
+    real = lu_mod.block_pattern
+
+    def short(A, part):
+        rows, cols = real(A, part)
+        K = next(K for K, r in enumerate(rows) if len(r))
+        rows[K] = rows[K][1:]
+        return rows, cols
+
+    monkeypatch.setattr(lu_mod, "block_pattern", short)
+    A = poisson2d(6, stencil=9)
+    with pytest.raises(np.linalg.LinAlgError, match="outside"):
+        lu_factorize(A, symbolic_factor(A, max_supernode=4).partition)
+
+
+def test_lu_blocks_are_c_contiguous_float64():
+    A = poisson2d(7, stencil=9, seed=2)
+    lu = lu_factorize(A, symbolic_factor(A, max_supernode=4).partition)
+    blocks = [*lu.diagL, *lu.diagU, *lu.diagLinv, *lu.diagUinv,
+              *lu.Lblocks.values(), *lu.Ublocks.values()]
+    assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
+
+
 MATS = [
     lambda: poisson2d(8, stencil=5),
     lambda: poisson2d(7, stencil=9, seed=2),
