@@ -17,7 +17,9 @@ grows by checking them *systematically*:
 - :mod:`~repro.check.fuzz` — a seeded differential fuzzer drawing random
   solver and serving configurations, running every applicable execution
   path plus the scipy/dense reference, and cross-checking solutions,
-  sync counts and replay determinism.
+  sync counts and replay determinism; plus the enumerated chaos family
+  (:func:`~repro.check.fuzz.chaos_cases`): resilient solves under a
+  sweep of seeded fault plans, each a correct answer or a typed error.
 - :mod:`~repro.check.reduce` — a shrinking reducer that minimizes a
   failing case before writing a replayable repro file to
   ``tests/corpus/``.
@@ -30,6 +32,7 @@ from repro.check.fuzz import (
     CaseResult,
     FuzzCase,
     FuzzReport,
+    chaos_cases,
     draw_case,
     fuzz,
     run_case,
@@ -56,6 +59,7 @@ __all__ = [
     "check_serve",
     "check_sim",
     "check_solve",
+    "chaos_cases",
     "draw_case",
     "fuzz",
     "run_case",

@@ -38,7 +38,11 @@ every applicable path of the case and cross-checks them:
   windows) twice: the :class:`~repro.fleet.report.FleetReport` must be
   byte-identical across the two runs and the full
   :func:`~repro.check.invariants.check_fleet` conservation catalog must
-  hold — crashes re-route work, they never lose or duplicate a request.
+  hold — crashes re-route work, they never lose or duplicate a request;
+- *chaos* cases (enumerated by :func:`chaos_cases`, never drawn) solve
+  resiliently under one :func:`~repro.comm.faults.plan_for` cell: a
+  correct answer or one of :data:`TYPED_ERRORS`, never a silent wrong
+  answer; the cell's outcome lands on the :class:`CaseResult`.
 
 Failures come back as a :class:`CaseResult` with human-readable mismatch
 strings; :mod:`repro.check.reduce` shrinks them and writes corpus repro
@@ -48,7 +52,9 @@ files.  Entry point: ``repro fuzz --cases N --seed S``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -57,10 +63,11 @@ import scipy.sparse.linalg as spla
 
 from repro.analyze import solver_schedule, verify_schedule
 from repro.comm.costmodel import MACHINES
-from repro.comm.faults import FaultPlan
-from repro.comm.simulator import AmbiguousRecvError
+from repro.comm.faults import CommFaultError, FaultPlan, plan_for
+from repro.comm.simulator import AmbiguousRecvError, DeadlockError
 from repro.core.backends import BACKENDS
-from repro.core.solver import Resilience, SpTRSVSolver
+from repro.core.solver import Resilience, ResilienceExhausted, SpTRSVSolver
+from repro.grids.grid3d import Grid3D
 from repro.matrices import (
     block_tridiagonal,
     chemistry_like,
@@ -70,6 +77,7 @@ from repro.matrices import (
     poisson2d,
     poisson3d,
 )
+from repro.numfact import solve_residual
 from repro.check.invariants import (
     InvariantViolation,
     check_serve,
@@ -96,6 +104,13 @@ GENERATORS = {
     "blocktri": (lambda s: block_tridiagonal(s, block=8, seed=7), (4, 8)),
 }
 
+#: Errors a chaos case may legitimately end in: a diagnosable, typed
+#: failure.  Anything else escaping a resilient solve is a breach.
+TYPED_ERRORS = (CommFaultError, DeadlockError, ResilienceExhausted)
+
+#: Fault kinds :func:`chaos_cases` sweeps by default.
+CHAOS_KINDS = ("drop", "duplicate", "delay", "reorder", "corrupt", "crash")
+
 #: Suite matrices serve cases draw their workload mix from (tiny scale).
 SERVE_MATRICES = ("s2D9pt2048", "nlpkkt80")
 
@@ -109,7 +124,7 @@ class FuzzCase:
 
     index: int
     seed: int
-    kind: str = "solve"            # "solve" | "serve" | "fleet" | "scenario"
+    kind: str = "solve"  # "solve" | "serve" | "fleet" | "scenario" | "chaos"
     # -- solve cases --------------------------------------------------------
     generator: str = "poisson2d"
     size: int = 10
@@ -143,6 +158,10 @@ class FuzzCase:
     crash: tuple = ()              # ((worker, t_crash, t_recover), ...)
     # -- scenario cases -----------------------------------------------------
     scenario: str = ""             # catalog name; run at this case's seed
+    # -- chaos cases (plus the solve fields; fault_seed is the cell seed) ---
+    algorithm: str = ""
+    fault_kind: str = ""
+    fault_rate: float = 0.0
 
     @property
     def faulted(self) -> bool:
@@ -155,6 +174,10 @@ class FuzzCase:
                                  duplicate=self.duplicate, delay=self.delay)
 
     def describe(self) -> str:
+        if self.kind == "chaos":
+            return (f"chaos[{self.index}] {self.algorithm} {self.fault_kind}"
+                    f"@{self.fault_rate:g} seed={self.seed} {self.generator}"
+                    f"({self.size}) grid={self.px}x{self.py}x{self.pz}")
         if self.kind == "scenario":
             return (f"scenario[{self.index}] {self.scenario} "
                     f"seed={self.seed}")
@@ -208,11 +231,18 @@ class FuzzCase:
 
 @dataclass
 class CaseResult:
-    """What one case execution observed."""
+    """What one case execution observed (plus a chaos cell's outcome)."""
 
     case: FuzzCase
     checks: int = 0
     mismatches: list = field(default_factory=list)
+    # "exact" | "recovered" | "degraded" | "typed-error" | "silent-wrong"
+    status: str | None = None
+    tier: str | None = None
+    error: str | None = None        # type name of a typed error
+    residual: float | None = None
+    virtual_time: float = 0.0
+    fault_events: int = 0
 
     @property
     def ok(self) -> bool:
@@ -220,6 +250,8 @@ class CaseResult:
 
     def summary(self) -> str:
         head = f"{self.case.describe()} — {self.checks} checks"
+        if self.status is not None:
+            head += f", {self.status}"
         if self.ok:
             return head + ", ok"
         return head + "".join(f"\n    FAIL: {m}" for m in self.mismatches)
@@ -353,6 +385,24 @@ def _draw_serve(rng: np.random.Generator, index: int, seed: int) -> FuzzCase:
         queue_bound=int(rng.choice((3, 8, 256))))
 
 
+def chaos_cases(algorithms=("new3d", "baseline3d", "2d"), kinds=CHAOS_KINDS,
+                rates=(0.0, 0.02, 0.05, 0.10), seeds=(0,)) -> list[FuzzCase]:
+    """The chaos sweep: one case per (algorithm, kind, rate, seed) cell,
+    on ``poisson2d`` size 12: 2x1x2 where the algorithm runs on it, else
+    2x2x1.  The cell seed uses crc32, not ``hash()``: the same cell gets
+    the same plan in every process, whatever ``PYTHONHASHSEED``."""
+    cases = []
+    for alg, kind, rate, seed in itertools.product(algorithms, kinds, rates,
+                                                   seeds):
+        py, pz = (1, 2) if BACKENDS[alg].grid_ok(Grid3D(2, 1, 2)) else (2, 1)
+        cases.append(FuzzCase(
+            index=len(cases), seed=seed, kind="chaos", size=12,
+            max_supernode=8, px=2, py=py, pz=pz, algorithm=alg,
+            fault_kind=kind, fault_rate=rate, fault_seed=seed * 7919
+            + zlib.crc32(f"{alg}/{kind}".encode()) % 1000))
+    return cases
+
+
 # ---------------------------------------------------------------------------
 # Running cases.
 # ---------------------------------------------------------------------------
@@ -370,6 +420,8 @@ def run_case(case: FuzzCase) -> CaseResult:
             _run_scenario_case(case, res)
         elif case.kind == "solve":
             _run_solve_case(case, res)
+        elif case.kind == "chaos":
+            _run_chaos_case(case, res)
         else:
             res.mismatches.append(f"unknown case kind {case.kind!r}")
     except InvariantViolation as e:
@@ -391,14 +443,18 @@ def _check(res: CaseResult, cond: bool, msg: str) -> None:
         res.mismatches.append(msg)
 
 
-def _run_solve_case(case: FuzzCase, res: CaseResult) -> None:
+def _solver(case: FuzzCase) -> SpTRSVSolver:
     factory, _ = GENERATORS[case.generator]
-    A = sp.csr_matrix(factory(case.size))
-    machine = MACHINES[case.machine]
-    solver = SpTRSVSolver(A, case.px, case.py, case.pz, machine=machine,
-                          max_supernode=case.max_supernode,
-                          symbolic_mode=case.symbolic_mode,
-                          ordering=case.ordering)
+    return SpTRSVSolver(sp.csr_matrix(factory(case.size)), case.px, case.py,
+                        case.pz, machine=MACHINES[case.machine],
+                        max_supernode=case.max_supernode,
+                        symbolic_mode=case.symbolic_mode,
+                        ordering=case.ordering)
+
+
+def _run_solve_case(case: FuzzCase, res: CaseResult) -> None:
+    solver = _solver(case)
+    A, machine = solver.A, solver.machine
     b = make_rhs(A.shape[0], case.nrhs, kind="random", seed=case.seed)
 
     # Reference tier vs an independent scipy solve of the original system.
@@ -542,34 +598,77 @@ def _faulted_solve(case, res, solver, A, b) -> None:
            "faulted: solution bits differ across fault-plan replays")
 
 
-def _run_serve_case(case: FuzzCase, res: CaseResult) -> None:
+def _run_chaos_case(case: FuzzCase, res: CaseResult) -> None:
+    """One chaos cell: a lossless solve proves the fault-free path and
+    calibrates the plan's time scale (crash instants, delay spikes); the
+    resilient solve under the cell's plan must then be correct or raise a
+    typed error, never return a silent wrong answer."""
+    solver = _solver(case)
+    A, alg, resil = solver.A, case.algorithm, Resilience()
+    b = make_rhs(solver.n, case.nrhs)
+    base = solver.solve(b, algorithm=alg)
+    if solve_residual(A, base.x, b) > resil.residual_tol:
+        raise ValueError(f"lossless {alg} solve already fails")
+    plan = plan_for(case.fault_kind, case.fault_rate, case.fault_seed,
+                    solver.grid.nranks, base.report.total_time)
+    try:
+        out = solver.solve(b, algorithm=alg, faults=plan, resilience=resil)
+    except TYPED_ERRORS as e:
+        res.status, res.error = "typed-error", type(e).__name__
+        res.virtual_time = float(getattr(e, "sim_time", 0.0))
+    else:
+        rr = out.resilience
+        res.residual = solve_residual(A, out.x, b)
+        res.status = ("silent-wrong" if res.residual > resil.residual_tol
+                      else "degraded" if rr.tier != alg
+                      else "exact" if len(rr.attempts) == 1 else "recovered")
+        res.tier, res.virtual_time = rr.tier, rr.total_time
+        # Sum fault events over every attempt: the winning tier is often
+        # the fault-free reference solve, which alone would report zero.
+        res.fault_events = sum(a.fault_events for a in rr.attempts)
+    _check(res, res.status != "silent-wrong",
+           f"chaos: {alg} under {case.fault_kind}@{case.fault_rate:g} "
+           f"returned residual {res.residual!r} > {resil.residual_tol:g} "
+           f"without raising (silent wrong answer)")
+
+
+def _serve_inputs(case: FuzzCase, mix):
+    """The workload, grid and batching policy of a serve or fleet case."""
     from repro.serve import (
         BatchPolicy,
         ServiceConfig,
-        SolveService,
         WorkloadSpec,
         generate_workload,
     )
 
-    spec = WorkloadSpec(seed=case.seed, rate=case.rate,
-                        n_requests=case.n_requests,
-                        mix=tuple((m, "tiny", 1.0) for m in case.matrices),
-                        deadline=case.deadline,
-                        priorities=((0, 3.0), (5, 1.0)))
-    wl = generate_workload(spec)
-    cfg = ServiceConfig(px=case.px, py=case.py, pz=case.pz)
-    policy = BatchPolicy(max_batch=case.max_batch, max_wait=case.max_wait,
-                         queue_bound=case.queue_bound)
+    wl = generate_workload(WorkloadSpec(
+        seed=case.seed, rate=case.rate, n_requests=case.n_requests, mix=mix,
+        deadline=case.deadline, priorities=((0, 3.0), (5, 1.0))))
+    return (wl, ServiceConfig(px=case.px, py=case.py, pz=case.pz),
+            BatchPolicy(max_batch=case.max_batch, max_wait=case.max_wait,
+                        queue_bound=case.queue_bound))
 
-    def serve():
-        svc = SolveService(cfg, policy, invariants=True)
-        return svc, svc.run(wl)
 
-    svc, r1 = serve()
-    res.checks += check_serve(wl, r1, service=svc)
-    _, r2 = serve()
-    _check(res, r1.slo.to_json() == r2.slo.to_json(),
-           "serve: SLO reports differ across replays of the same workload")
+def _double_run(res: CaseResult, wl, make, check, report_json, what: str):
+    """Two fresh ``make()`` services run ``wl``: ``check`` the first run,
+    byte-compare ``report_json`` of both; returns ``(svc1, r1, r2)``."""
+    svc = make()
+    r1 = svc.run(wl)
+    res.checks += check(wl, r1, service=svc)
+    r2 = make().run(wl)
+    _check(res, report_json(r1) == report_json(r2),
+           f"{what} not byte-identical across replays of the same workload")
+    return svc, r1, r2
+
+
+def _run_serve_case(case: FuzzCase, res: CaseResult) -> None:
+    from repro.serve import SolveService
+
+    wl, cfg, policy = _serve_inputs(
+        case, tuple((m, "tiny", 1.0) for m in case.matrices))
+    svc, r1, r2 = _double_run(
+        res, wl, lambda: SolveService(cfg, policy, invariants=True),
+        check_serve, lambda r: r.slo.to_json(), "serve: SLO report")
     _check(res, [b.request_ids for b in r1.batches]
            == [b.request_ids for b in r2.batches],
            "serve: batch composition differs across replays")
@@ -598,43 +697,23 @@ def _run_fleet_case(case: FuzzCase, res: CaseResult) -> None:
     so re-routing, rollback and recovery are all on the fuzzed path.
     """
     from repro.check.invariants import check_fleet
-    from repro.comm.faults import FaultPlan, FaultSchedule
+    from repro.comm.faults import FaultSchedule
     from repro.fleet import FleetConfig, FleetService
-    from repro.serve import (
-        BatchPolicy,
-        ServiceConfig,
-        WorkloadSpec,
-        generate_workload,
-        zipf_mix,
-    )
+    from repro.serve import zipf_mix
 
-    spec = WorkloadSpec(seed=case.seed, rate=case.rate,
-                        n_requests=case.n_requests,
-                        mix=zipf_mix(case.matrices, "tiny", case.zipf_s),
-                        deadline=case.deadline,
-                        priorities=((0, 3.0), (5, 1.0)))
-    wl = generate_workload(spec)
-    cfg = ServiceConfig(px=case.px, py=case.py, pz=case.pz)
-    policy = BatchPolicy(max_batch=case.max_batch, max_wait=case.max_wait,
-                         queue_bound=case.queue_bound)
+    wl, cfg, policy = _serve_inputs(
+        case, zipf_mix(case.matrices, "tiny", case.zipf_s))
     sched = None
     if case.crash:
         sched = FaultSchedule(tuple(
             (tc, tr, FaultPlan.uniform(seed=case.fault_seed, crash={w: tc}))
             for (w, tc, tr) in case.crash))
 
-    def run():
-        fs = FleetService(
-            FleetConfig(workers=case.workers,
-                        replication=case.replication),
-            cfg, policy, crash_schedule=sched)
-        return fs, fs.run(wl)
-
-    fs, r1 = run()
-    res.checks += check_fleet(wl, r1, service=fs)
-    _, r2 = run()
-    _check(res, r1.report.to_json() == r2.report.to_json(),
-           "fleet: FleetReport not byte-identical across replays")
+    _, r1, _ = _double_run(
+        res, wl, lambda: FleetService(
+            FleetConfig(workers=case.workers, replication=case.replication),
+            cfg, policy, crash_schedule=sched),
+        check_fleet, lambda r: r.report.to_json(), "fleet: FleetReport")
     _check(res, r1.slo.n_completed + r1.slo.n_shed == len(wl),
            f"fleet: completed {r1.slo.n_completed} + shed {r1.slo.n_shed} "
            f"!= {len(wl)} requests (lost or duplicated work)")

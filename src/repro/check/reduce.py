@@ -4,8 +4,9 @@ Given a failing :class:`~repro.check.fuzz.FuzzCase` and a predicate that
 re-runs it, :func:`shrink` greedily tries simpler variants — strip the
 fault plan, collapse the grid one axis at a time, drop to one right-hand
 side, fall back from GPU to CPU, shrink the matrix, thin the workload —
-and keeps any variant that still fails.  The result is the smallest case
-the greedy pass can reach, which :func:`write_repro` serializes to a
+and keeps any variant that still fails; a chaos cell keeps its fault
+coordinates and shrinks like a solve case.  The result is the smallest
+case the greedy pass can reach, which :func:`write_repro` serializes to a
 replayable JSON file under ``tests/corpus/`` so the failure becomes an
 ordinary pytest the moment it is found.
 """
@@ -27,7 +28,7 @@ def _candidates(case: FuzzCase) -> list[FuzzCase]:
     out: list[FuzzCase] = []
     if case.faulted:
         out.append(replace(case, drop=0.0, duplicate=0.0, delay=0.0))
-    if case.kind == "solve":
+    if case.kind in ("solve", "chaos"):
         if case.strict_match:
             out.append(replace(case, strict_match=False))
         if case.device == "gpu":

@@ -48,7 +48,7 @@ Run the adversarial-scenario suite and check every degradation contract
 
     python -m repro scenarios --list
     python -m repro scenarios --run flash-crowd
-    python -m repro scenarios --sweep --json
+    python -m repro scenarios --json
 """
 
 from __future__ import annotations
@@ -821,9 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the catalog and exit")
     p.add_argument("--run", default=None, metavar="NAME",
                    help="run one named scenario instead of the full sweep")
-    p.add_argument("--sweep", action="store_true",
-                   help="run every catalog scenario (the default when "
-                        "neither --list nor --run is given)")
     p.add_argument("--seed", type=int, default=None,
                    help="override the declared seed (soft SLO bounds are "
                         "calibrated to the declared seed; hard guarantees "

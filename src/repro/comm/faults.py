@@ -308,6 +308,35 @@ class FaultSchedule:
         return max((t1 for _t0, t1, _p in self.phases), default=0.0)
 
 
+def plan_for(kind: str, rate: float, seed: int, nranks: int,
+             makespan: float) -> FaultPlan | None:
+    """Deterministic fault plan for one ``(kind, rate, seed)`` chaos cell
+    (``None`` when lossless), shared by the chaos cases of
+    :mod:`repro.check.fuzz` and the fault phases of ``repro.scenarios``.
+    ``makespan`` scales the time-valued faults: crash instants are placed
+    inside it, delay spikes are ~10% of it.
+    """
+    if rate <= 0.0:
+        return None
+    if kind == "crash":
+        # Interpret the rate as the fraction of ranks to crash, at
+        # staggered points inside the expected run.
+        ncrash = max(1, int(round(rate * nranks)))
+        ranks = [1 + (seed + i * 7) % max(1, nranks - 1)
+                 for i in range(ncrash)]
+        crash = {r: makespan * (0.2 + 0.5 * i / max(1, ncrash))
+                 for i, r in enumerate(dict.fromkeys(ranks))}
+        return FaultPlan(seed=seed, crash=crash)
+    if kind == "delay":
+        # Delay spikes of ~10x the run's own scale stress reordering and
+        # timeout logic without changing correctness by themselves.
+        return FaultPlan.uniform(seed=seed, delay=rate,
+                                 delay_seconds=makespan * 0.1)
+    if kind in ("drop", "duplicate", "corrupt", "reorder"):
+        return FaultPlan.uniform(seed=seed, **{kind: rate})
+    raise ValueError(f"unknown fault kind {kind!r}")
+
+
 class FaultState:
     """Mutable per-run state: the RNG stream, fired crashes, event log."""
 

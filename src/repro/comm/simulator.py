@@ -52,6 +52,7 @@ from repro.comm.faults import (
     corrupt_payload,
     payload_checksum,
 )
+from repro.comm.invariants import check_sim
 from repro.kernels import NUMERIC
 
 
@@ -1272,11 +1273,11 @@ class Simulator:
     without it.
 
     Checking (see ``docs/CHECKING.md``): ``invariants=True`` runs the
-    :mod:`repro.check.invariants` simulation checks (clock/time
+    :mod:`repro.comm.invariants` simulation checks (clock/time
     conservation, no unconsumed mailbox messages in fault-free runs) on
     the result before returning it — also purely observational; a
     violation raises
-    :class:`~repro.check.invariants.InvariantViolation`.
+    :class:`~repro.comm.invariants.InvariantViolation`.
     """
 
     def __init__(self, nranks: int, machine, max_events: int = 50_000_000,
@@ -1325,7 +1326,5 @@ class Simulator:
         engine.run()
         result = engine.result()
         if self.invariants:
-            from repro.check.invariants import check_sim
-
             check_sim(result, faulted=self.faults is not None)
         return result

@@ -23,8 +23,7 @@ def _pack(blocks: dict[tuple[int, int], np.ndarray]):
     return idx, data
 
 
-def _unpack(idx: np.ndarray, data: np.ndarray, part: SupernodePartition,
-            transpose_dims: bool = False):
+def _unpack(idx: np.ndarray, data: np.ndarray, part: SupernodePartition):
     blocks: dict[tuple[int, int], np.ndarray] = {}
     ofs = 0
     for I, K in idx:
@@ -33,6 +32,14 @@ def _unpack(idx: np.ndarray, data: np.ndarray, part: SupernodePartition,
         blocks[(I, K)] = data[ofs:ofs + m * n].reshape(m, n)
         ofs += m * n
     return blocks
+
+
+def _adjacency(idx: np.ndarray, by: int, nsup: int) -> list[np.ndarray]:
+    """Per supernode ``k``, the other coordinate of the keys whose column
+    ``by`` is ``k``, ascending (``idx`` is sorted, as :func:`_pack` wrote)."""
+    order = np.argsort(idx[:, by], kind="stable")
+    cuts = np.searchsorted(idx[order, by], np.arange(1, nsup))
+    return np.split(idx[order, 1 - by], cuts)
 
 
 def save_factors(path: str, lu: BlockSparseLU) -> None:
@@ -57,8 +64,9 @@ def load_factors(path: str) -> BlockSparseLU:
     """
     with np.load(path) as z:
         part = SupernodePartition(z["sn_start"])
-        Lblocks = _unpack(z["l_idx"], z["l_data"], part)
-        Ublocks = _unpack(z["u_idx"], z["u_data"], part)
+        lidx, uidx = z["l_idx"], z["u_idx"]
+        Lblocks = _unpack(lidx, z["l_data"], part)
+        Ublocks = _unpack(uidx, z["u_data"], part)
         diagL, diagU = [], []
         ofs = 0
         dl, du = z["diagL"], z["diagU"]
@@ -68,18 +76,11 @@ def load_factors(path: str) -> BlockSparseLU:
             diagU.append(du[ofs:ofs + w * w].reshape(w, w))
             ofs += w * w
 
-    nsup = part.nsup
-    l_rows: list[list[int]] = [[] for _ in range(nsup)]
-    u_cols: list[list[int]] = [[] for _ in range(nsup)]
-    for (I, K) in Lblocks:
-        l_rows[K].append(I)
-    for (K, J) in Ublocks:
-        u_cols[K].append(J)
     return BlockSparseLU(
         partition=part, diagL=diagL, diagU=diagU,
         diagLinv=triangular_inverses(diagL, np.tril),
         diagUinv=triangular_inverses(diagU, np.triu),
         Lblocks=Lblocks, Ublocks=Ublocks,
-        l_blockrows=[np.array(sorted(r), dtype=np.int64) for r in l_rows],
-        u_blockcols=[np.array(sorted(c), dtype=np.int64) for c in u_cols],
+        l_blockrows=_adjacency(lidx, 1, part.nsup),
+        u_blockcols=_adjacency(uidx, 0, part.nsup),
     )

@@ -7,9 +7,10 @@ machine-check a *degradation contract* over the deterministic SLO
 report — shed gracefully with typed rejections, never corrupt an
 accepted answer, recover within bounded virtual time.
 
-Entry points: the ``repro scenarios`` CLI subcommand,
-:func:`repro.comm.chaos.scenario_sweep`, and the differential fuzzer's
-``kind="scenario"`` cases.  The guided tour is ``docs/SCENARIOS.md``.
+Entry points: the ``repro scenarios`` CLI subcommand, :func:`run_all`,
+and the differential fuzzer's ``kind="scenario"`` cases.  Fault phases
+speak the coordinates of the solver-level chaos cases
+(:func:`repro.comm.faults.plan_for`).  The guided tour is ``docs/SCENARIOS.md``.
 """
 
 from repro.scenarios.catalog import CATALOG, get_scenario, scenario_names

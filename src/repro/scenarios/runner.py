@@ -12,7 +12,7 @@ pure function of the scenario and the seed:
 - :func:`build_service` wires the service with the scenario's knobs: the
   poison-aware matrix provider, the escalating
   :class:`~repro.comm.faults.FaultSchedule` (plans built through the
-  chaos coordinates of :func:`repro.comm.chaos.plan_for`), runtime
+  chaos coordinates of :func:`repro.comm.faults.plan_for`), runtime
   invariants on, and sampled integrity verification;
 - :func:`run_scenario` runs it (catching any escaped exception as a hard
   contract failure) and evaluates the degradation contract;
@@ -31,8 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.comm.chaos import plan_for
-from repro.comm.faults import FaultSchedule
+from repro.comm.faults import FaultSchedule, plan_for
 from repro.core.solver import Resilience
 from repro.matrices import resolve_matrix
 from repro.scenarios.spec import DegradationContract, Scenario, ScenarioReport

@@ -27,7 +27,7 @@ The contract splits into two tiers:
   queue drain time after the disturbance ends.
 
 :class:`ScenarioReport` is the runner's artifact: one JSON document per
-episode, byte-identical across replays, diffed by the ``scenario-smoke``
+episode, byte-identical across replays, diffed by the ``adversarial-smoke``
 CI job.
 """
 
@@ -80,7 +80,7 @@ class FaultPhaseSpec:
     """One fabric-fault window ``[t0, t1)`` in service virtual time.
 
     ``kind``/``rate`` use the chaos coordinates of
-    :func:`repro.comm.chaos.plan_for`; ``solve_makespan`` is the
+    :func:`repro.comm.faults.plan_for`; ``solve_makespan`` is the
     time-scale hint for crash instants and delay spikes (a typical
     single-batch solve, not the window length — fault plans act on each
     batch's internal simulator clock).  The plan's seed is derived from

@@ -133,17 +133,21 @@ def test_fault_schedule_escalates_and_derives_seed():
 
 # -- running: determinism and contracts --------------------------------------
 
-def test_scenario_report_bit_identical_across_replays():
+@pytest.fixture(scope="module")
+def reports():
+    """Every catalog scenario, run once at its declared seed."""
+    return run_all()
+
+
+def test_scenario_report_bit_identical_across_replays(reports):
     name = CHEAP[0]
-    r1 = run_scenario(get_scenario(name))
     r2 = run_scenario(get_scenario(name))
-    assert r1.to_json() == r2.to_json()
+    assert reports[name].to_json() == r2.to_json()
 
 
-def test_full_catalog_sweep_passes_contracts():
+def test_full_catalog_sweep_passes_contracts(reports):
     """Every catalog scenario meets its degradation contract — hard and
     soft tiers — at its declared seed."""
-    reports = run_all()
     assert list(reports) == scenario_names()
     for name, rep in reports.items():
         failed = [c for c in rep.checks if not c["passed"]]
@@ -160,22 +164,22 @@ def test_seed_override_keeps_hard_tier():
                          if c["hard"] and not c["passed"]]
 
 
-def test_poison_scenarios_shed_typed_and_uncorrupted():
+def test_poison_scenarios_shed_typed_and_uncorrupted(reports):
     for name in ("poison-rhs", "poison-matrix"):
-        rep = run_scenario(get_scenario(name))
+        rep = reports[name]
         assert rep.slo["shed_by_reason"].get("poison-input", 0) > 0, name
         assert rep.slo["n_integrity_failures"] == 0
         assert rep.slo["n_verified"] > 0
 
 
-def test_duplicate_storm_coalesces():
-    rep = run_scenario(get_scenario("duplicate-storm"))
+def test_duplicate_storm_coalesces(reports):
+    rep = reports["duplicate-storm"]
     assert rep.slo["deduped"] >= 30
     assert rep.slo["n_completed"] == rep.n_requests    # nobody shed
 
 
-def test_flash_crowd_recovers_within_bound():
-    rep = run_scenario(get_scenario("flash-crowd"))
+def test_flash_crowd_recovers_within_bound(reports):
+    rep = reports["flash-crowd"]
     w = rep.windows
     assert w["disturbance"] is not None
     assert w["baseline_n"] > 0 and w["recovery_n"] > 0
@@ -184,8 +188,8 @@ def test_flash_crowd_recovers_within_bound():
             "recovery-p95", "drain-time"} <= names
 
 
-def test_report_json_contract():
-    rep = run_scenario(get_scenario(CHEAP[0]))
+def test_report_json_contract(reports):
+    rep = reports[CHEAP[0]]
     doc = json.loads(rep.to_json())
     for key in ("scenario", "seed", "version", "n_requests", "slo",
                 "windows", "checks", "hard_ok", "passed", "error"):
@@ -222,14 +226,6 @@ def test_escaped_exception_is_hard_failure():
     assert c["hard"] and not c["passed"]
 
 
-def test_chaos_bridge_scenario_sweep():
-    from repro.comm.chaos import scenario_sweep
-
-    reports = scenario_sweep(names=[CHEAP[0]])
-    assert list(reports) == [CHEAP[0]]
-    assert reports[CHEAP[0]].passed
-
-
 # -- fleet scenarios ---------------------------------------------------------
 
 def test_fleet_spec_validation():
@@ -259,9 +255,9 @@ def test_worker_crash_storm_runs_on_a_fleet():
     assert res.counters["n_rerouted"] > 0
 
 
-def test_worker_crash_storm_contract_and_replay():
+def test_worker_crash_storm_contract_and_replay(reports):
     sc = get_scenario("worker-crash-storm")
-    r1, r2 = run_scenario(sc), run_scenario(sc)
+    r1, r2 = reports[sc.name], run_scenario(sc)
     assert r1.passed, r1.summary_line()
     assert r1.to_json() == r2.to_json()
     # The crash windows widen the disturbance for recovery accounting.

@@ -645,8 +645,7 @@ def test_cache_not_poisoned_by_crash_fault_failover():
     """Satellite contract: a batch that rides through a crash-fault
     failover must not leave a corrupted factorization behind — the next
     request (fault window over) is bit-identical to a cold solve."""
-    from repro.comm.chaos import plan_for
-    from repro.comm.faults import FaultSchedule
+    from repro.comm.faults import FaultSchedule, plan_for
 
     crash = plan_for("crash", 0.5, seed=77, nranks=2, makespan=2e-3)
     assert crash is not None and crash.crash
