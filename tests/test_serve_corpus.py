@@ -9,6 +9,15 @@ so the digests do not depend on the host's BLAS; the batching and replay
 tests pin those bits against cold solves.  A refactor of the service loop
 or of the fleet's crash handling must reproduce every digest.
 
+A fleet row carries two digests: ``full`` over that document and
+``masked`` over the same document without ``BatchRecord.replayed`` and
+without any ``n_replayed``.  Which batches replay depends on which
+recordings a worker can reach; the masked digest pins everything else.
+A crash row also stores its crash point ``[worker, t_crash, t_recover]``
+(times as ``float.hex``), so the run it pins does not depend on a probe
+run's replay flags; a new crash row derives its point from an uncrashed
+probe (:func:`_crash_inside`).
+
 Regenerate (only for an intended change of serving behaviour) with
 ``PYTHONPATH=src python -m tests.test_serve_corpus``.
 """
@@ -67,10 +76,11 @@ def _poison():
     return Workload(requests=reqs)
 
 
-def _batch_rows(batches):
+def _batch_rows(batches, masked=False):
     return [[b.batch_id, b.matrix, b.scale, b.size, b.request_ids,
              b.t_dispatch.hex(), b.t_complete.hex(), b.cache_hit,
-             b.setup_time.hex(), b.solve_time.hex(), b.replayed]
+             b.setup_time.hex(), b.solve_time.hex(),
+             *(() if masked else (b.replayed,))]
             for b in batches]
 
 
@@ -104,21 +114,39 @@ def _fleet(workers=3, crash=None, autoscaler=None, verify=0.0, replay=True,
         verify_fraction=verify)
 
 
-def _fleet_digest(fs: FleetService, wl: Workload) -> str:
-    res = fs.run(wl)
-    return _digest({
-        "report": json.loads(res.report.to_json()),
+def _without_n_replayed(doc):
+    if isinstance(doc, dict):
+        return {k: _without_n_replayed(v) for k, v in doc.items()
+                if k != "n_replayed"}
+    if isinstance(doc, list):
+        return [_without_n_replayed(v) for v in doc]
+    return doc
+
+
+def _fleet_doc(res, masked: bool) -> dict:
+    report = json.loads(res.report.to_json())
+    return {
+        "report": _without_n_replayed(report) if masked else report,
         "events": res.events,
         "counters": res.counters,
         "workers": {str(i): {
             "rejections": _rejection_rows(w.rejections),
-            "batches": _batch_rows(w.batches),
+            "batches": _batch_rows(w.batches, masked),
             "solutions": list(w.solutions),
             "integrity_failures": len(w.integrity_failures)}
             for i, w in sorted(res.workers.items())},
         "rejections": _rejection_rows(res.rejections),
         "solutions": list(res.solutions),
-    })
+    }
+
+
+def _fleet_digest(fs: FleetService, wl: Workload, crash=None) -> dict:
+    res = fs.run(wl)
+    row = {"full": _digest(_fleet_doc(res, masked=False)),
+           "masked": _digest(_fleet_doc(res, masked=True))}
+    if crash is not None:
+        row["crash"] = crash
+    return row
 
 
 def _crash(worker, tc, tr):
@@ -126,10 +154,11 @@ def _crash(worker, tc, tr):
         ((tc, tr, FaultPlan.uniform(seed=worker, crash={worker: tc})),))
 
 
-def _crash_inside(make, wl: Workload, replayed: bool) -> FleetService:
-    """``make(crash_schedule)``'s fleet, crashed at the midpoint of the
-    busiest worker's second batch of the wanted kind (replayed or
-    simulated, two requests or more) in an uncrashed probe run."""
+def _crash_inside(make, wl: Workload, replayed: bool) -> list:
+    """Crash point ``[worker, t_crash, t_recover]`` (times ``float.hex``)
+    at the midpoint of the busiest worker's second batch of the wanted
+    kind (replayed or simulated, two requests or more) in an uncrashed
+    probe run of ``make(None)``."""
     probe = make(None).run(wl)
     w, picks = max(((i, [b for b in r.batches
                          if b.replayed == replayed and b.size >= 2])
@@ -138,11 +167,34 @@ def _crash_inside(make, wl: Workload, replayed: bool) -> FleetService:
     b = picks[1]
     tc = (b.t_dispatch + b.t_complete) / 2
     assert b.t_dispatch <= tc < b.t_complete
-    return make(_crash(w, tc, tc + 4e-3))
+    return [w, tc.hex(), (tc + 4e-3).hex()]
 
 
-def serve_cases():
-    """(label, thunk -> digest) for every declared run."""
+def _crashed_fleet_digest(make, wl: Workload, replayed: bool,
+                          crash: list | None) -> dict:
+    """Digest of ``make(crash_schedule)`` crashed at the pinned ``crash``
+    point (derived by :func:`_crash_inside` when the row is new)."""
+    if crash is None:
+        crash = _crash_inside(make, wl, replayed)
+    w, tc, tr = crash
+    return _fleet_digest(
+        make(_crash(w, float.fromhex(tc), float.fromhex(tr))), wl, crash)
+
+
+def _pinned() -> dict:
+    if not os.path.exists(SERVE_DIGESTS):
+        return {}
+    with open(SERVE_DIGESTS) as f:
+        return json.load(f)
+
+
+def serve_cases(pinned: dict):
+    """(label, thunk -> row) for every declared run; crash rows read
+    their crash point from ``pinned``."""
+
+    def crash_of(label):
+        return pinned.get(label, {}).get("crash")
+
     cfg = ServiceConfig(**GRID)
     wl = _workload(n=32, rate=1e5)
     yield "serve/default", lambda: _serve_digest(
@@ -169,10 +221,12 @@ def serve_cases():
     yield "fleet/w3", lambda: _fleet_digest(_fleet(workers=3), fwl)
     yield "fleet/replication2", lambda: _fleet_digest(
         _fleet(workers=4, replication=2), _workload(n=32, s=8.0))
-    yield "fleet/crash-simulated", lambda: _fleet_digest(_crash_inside(
-        lambda c: _fleet(crash=c, verify=1.0), fwl, False), fwl)
-    yield "fleet/crash-replayed", lambda: _fleet_digest(_crash_inside(
-        lambda c: _fleet(crash=c, verify=0.5), fwl, True), fwl)
+    yield "fleet/crash-simulated", lambda: _crashed_fleet_digest(
+        lambda c: _fleet(crash=c, verify=1.0), fwl, False,
+        crash_of("fleet/crash-simulated"))
+    yield "fleet/crash-replayed", lambda: _crashed_fleet_digest(
+        lambda c: _fleet(crash=c, verify=0.5), fwl, True,
+        crash_of("fleet/crash-replayed"))
     yield "fleet/all-down", lambda: _fleet_digest(
         _fleet(workers=1, crash=_crash(0, 1e-5, 1.0)),
         _workload(n=12, matrices=("ldoor",)))
@@ -181,22 +235,22 @@ def serve_cases():
     scaler = AutoscalerPolicy(period=5e-4, max_workers=4)
     yield "fleet/autoscale", lambda: _fleet_digest(
         _fleet(workers=1, autoscaler=scaler), fwl)
-    yield "fleet/autoscale-crash", lambda: _fleet_digest(_crash_inside(
-        lambda c: _fleet(workers=1, autoscaler=scaler, crash=c), fwl, True),
-        fwl)
+    yield "fleet/autoscale-crash", lambda: _crashed_fleet_digest(
+        lambda c: _fleet(workers=1, autoscaler=scaler, crash=c), fwl, True,
+        crash_of("fleet/autoscale-crash"))
 
 
-def serve_digests() -> dict:
-    return {label: thunk() for label, thunk in serve_cases()}
+def serve_digests(pinned: dict) -> dict:
+    return {label: thunk() for label, thunk in serve_cases(pinned)}
 
 
 def test_serving_matches_pinned_corpus():
-    with open(SERVE_DIGESTS) as f:
-        pinned = json.load(f)
-    assert serve_digests() == pinned
+    pinned = _pinned()
+    assert serve_digests(pinned) == pinned
 
 
 if __name__ == "__main__":
+    rows = serve_digests(_pinned())
     with open(SERVE_DIGESTS, "w") as f:
-        json.dump(serve_digests(), f, indent=1, sort_keys=True)
+        json.dump(rows, f, indent=1, sort_keys=True)
         f.write("\n")
