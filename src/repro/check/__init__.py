@@ -34,7 +34,6 @@ from repro.check.fuzz import (
     FuzzReport,
     chaos_cases,
     draw_case,
-    fuzz,
     run_case,
 )
 from repro.check.invariants import (
@@ -61,7 +60,6 @@ __all__ = [
     "check_solve",
     "chaos_cases",
     "draw_case",
-    "fuzz",
     "run_case",
     "shrink",
     "write_repro",

@@ -446,7 +446,8 @@ def cmd_fleet(args) -> int:
 
 def cmd_fuzz(args) -> int:
     """Differential fuzzing: random configs, cross-checked paths."""
-    from repro.check import FuzzCase, fuzz, run_case, shrink, write_repro
+    from repro.check import FuzzCase, run_case, shrink, write_repro
+    from repro.check.fuzz import fuzz
 
     if args.replay:
         with open(args.replay) as f:

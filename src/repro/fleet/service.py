@@ -26,6 +26,12 @@ so the re-routed requests' latencies honestly include the detour.
 Recovery brings the worker back as a *new incarnation* with a cold
 cache.
 
+Host work is shared where virtual work is not: every worker incarnation
+of one run builds through the run's artifact store (``CacheKey ->
+solver``, see :class:`~repro.serve.cache.FactorizationCache`), so each
+solver, and every recording and value program on it, is built once per
+run.  Each cache still counts and charges its own misses.
+
 Crash schedules reuse ``repro.comm.faults``: a
 :class:`~repro.comm.faults.FaultSchedule` whose plans carry ``crash``
 maps is read as "worker ``w`` crashes at its plan time (clamped into the
@@ -197,6 +203,9 @@ class FleetService:
         self.matrix_provider = matrix_provider
         self.verify_fraction = verify_fraction
         self.verify_seed = verify_seed
+        # The run's artifact store (CacheKey -> solver) that every worker
+        # cache builds through; ``run`` starts each run with an empty one.
+        self._store: dict = {}
         if autoscaler is not None and self.fleet.workers > \
                 autoscaler.max_workers:
             raise ValueError("initial fleet exceeds autoscaler max_workers")
@@ -205,7 +214,8 @@ class FleetService:
 
     def _spawn_service(self) -> SolveService:
         return SolveService(
-            self.config, self.policy, cache=FactorizationCache(),
+            self.config, self.policy,
+            cache=FactorizationCache(store=self._store),
             fault_schedule=self.fault_schedule,
             keep_solutions=self.keep_solutions,
             matrix_provider=self.matrix_provider,
@@ -418,6 +428,7 @@ class FleetService:
     def run(self, workload: Workload) -> FleetResult:
         """Serve ``workload`` across the fleet; deterministic in its inputs."""
         arrivals = sorted(workload.requests, key=lambda r: (r.arrival, r.id))
+        self._store = {}
         self.workers: dict[int, _WorkerState] = {}
         self.ring = HashRing(range(self.fleet.workers),
                              vnodes=self.fleet.vnodes,
@@ -464,7 +475,9 @@ class FleetService:
                 self._tick(horizon, scaler)
                 next_tick += scaler.policy.period
 
-        return self._finalize(workload)
+        result = self._finalize(workload)
+        self._store.clear()   # live caches keep what they hold
+        return result
 
     # -- folding --------------------------------------------------------------
 

@@ -80,6 +80,12 @@ class FactorizationCache:
     max_bytes: int | None = None
     max_entries: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
+    # Artifact store (``CacheKey -> solver``) shared by every worker cache
+    # of one fleet run: a miss takes the object another cache already
+    # built, with its recordings and value programs, and is still counted
+    # and charged as a miss.  A standalone cache keeps ``None``: a store
+    # outliving evictions would defeat its bound.
+    store: dict | None = field(default=None, repr=False, compare=False)
     _entries: OrderedDict = field(default_factory=OrderedDict)
 
     def __len__(self) -> int:
@@ -141,12 +147,16 @@ class FactorizationCache:
         On a hit the setup time is 0.0 — that is the whole point of the
         cache; on a miss ``build()`` runs and the solver's
         :meth:`~SpTRSVSolver.factor_time_estimate` is charged as the
-        batch's setup cost.
+        batch's setup cost, whether ``build()`` runs or the store
+        already holds the solver.
         """
         solver = self.get(key)
         if solver is not None:
             return solver, 0.0, True
-        solver = build()
+        if self.store is None:
+            solver = build()
+        elif (solver := self.store.get(key)) is None:
+            solver = self.store[key] = build()
         setup = solver.factor_time_estimate()
         self.put(key, solver, setup_time=setup)
         return solver, setup, False

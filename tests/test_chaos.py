@@ -16,12 +16,12 @@ virtual time as ``float.hex``, and the fault-event count.  Regenerate
 ``PYTHONPATH=src python -m tests.test_chaos``.
 """
 
-import importlib
 import json
 import os
 
 import pytest
 
+import repro.check.fuzz
 from repro.check import CaseResult, FuzzCase, chaos_cases, run_case
 from repro.check.fuzz import CHAOS_KINDS, GENERATORS, TYPED_ERRORS
 from repro.comm import FaultPlan
@@ -168,9 +168,7 @@ def test_chaos_run_classification(monkeypatch):
         calls.append(1)
         return solve_residual(A, x, b) if len(calls) == 1 else 1.0
 
-    # The module, not the ``repro.check.fuzz`` function that shadows it.
-    monkeypatch.setattr(importlib.import_module("repro.check.fuzz"),
-                        "solve_residual", lying_residual)
+    monkeypatch.setattr(repro.check.fuzz, "solve_residual", lying_residual)
     wrong = run_case(case)
     assert wrong.status == "silent-wrong" and not wrong.ok
     assert "silent wrong answer" in wrong.mismatches[0]

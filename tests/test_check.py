@@ -234,3 +234,14 @@ def test_write_repro_round_trip(tmp_path):
     assert case.digest() in path
     with open(path) as f:
         assert FuzzCase.from_json(f.read()) == case
+
+
+def test_check_fuzz_names_the_module():
+    """The package does not shadow its ``fuzz`` submodule with the
+    function of that name: the dotted name binds the module."""
+    import inspect
+
+    import repro.check.fuzz as fuzz_module
+
+    assert inspect.ismodule(fuzz_module)
+    assert inspect.isfunction(fuzz_module.fuzz)

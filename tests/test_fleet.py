@@ -222,6 +222,45 @@ def test_fleet_replication_spreads_hot_matrix():
     assert res.slo.n_completed + res.slo.n_shed == len(wl)
 
 
+def _solvers_by_key(fs) -> dict:
+    """CacheKey -> ids of the solver objects the live caches hold."""
+    out: dict = {}
+    for ws in fs.workers.values():
+        for key, entry in ws.svc.cache._entries.items():
+            out.setdefault(key, set()).add(id(entry.solver))
+    return out
+
+
+def test_fleet_replicas_share_one_solver_per_key():
+    """Replicas of a hot matrix build through the run's artifact store:
+    one solver object per CacheKey across every worker's cache, while
+    each cache still counts and charges its own miss."""
+    fs = _fleet(workers=4, replication=2)
+    res = fs.run(_workload(n=40, s=8.0))
+    by_key = _solvers_by_key(fs)
+    assert sum(len(ws.svc.cache) for ws in fs.workers.values()) \
+        > len(by_key)
+    assert all(len(ids) == 1 for ids in by_key.values())
+    misses = [b for w in res.workers.values() for b in w.batches
+              if not b.cache_hit]
+    assert len(misses) == res.slo.cache_misses > len(by_key)
+
+
+def test_fleet_rerun_is_cold_and_byte_identical():
+    """The store lives for one run: a second run of the same instance
+    rebuilds every solver and reports the same bytes."""
+    fs = _fleet(workers=3)
+    wl = _workload(n=24, seed=9)
+    first = fs.run(wl).report.to_json()
+    held = [e.solver for ws in fs.workers.values()
+            for e in ws.svc.cache._entries.values()]
+    assert held
+    assert fs.run(wl).report.to_json() == first
+    again = {id(e.solver) for ws in fs.workers.values()
+             for e in ws.svc.cache._entries.values()}
+    assert again and not again & {id(s) for s in held}
+
+
 def test_fleet_report_replayable_from_seed():
     def run():
         return _fleet(workers=3).run(_workload(n=24, seed=9))
@@ -283,6 +322,30 @@ def test_fleet_all_workers_down_sheds_typed():
     assert shed, "expected worker-crash sheds with no live workers"
     assert res.slo.n_completed + res.slo.n_shed == len(wl)
     assert check_fleet(wl, res, service=fs) > 0
+
+
+def test_revived_worker_reuses_the_stored_solver(monkeypatch):
+    """A revived incarnation's cache is cold in virtual time (its first
+    batch misses and pays the factorization estimate) but its host build
+    is the solver its dead incarnation built."""
+    spawned = []
+    spawn = FleetService._spawn_service
+
+    def spy(self):
+        spawned.append(spawn(self))
+        return spawned[-1]
+
+    monkeypatch.setattr(FleetService, "_spawn_service", spy)
+    fs = _fleet(workers=1, crash=_crash(0, 3.5e-3, 4e-3))
+    res = fs.run(_workload(n=40, rate=1e4, matrices=("s2D9pt2048",)))
+    dead, live = spawned
+    assert fs.workers[0].svc is live
+    (key, before), = dead.cache._entries.items()
+    solver = live.cache._entries[key].solver
+    assert solver is before.solver
+    first = next(b for b in res.workers[0].batches if b.t_dispatch >= 4e-3)
+    assert not first.cache_hit
+    assert first.setup_time == solver.factor_time_estimate()
 
 
 def test_crash_inside_a_replayed_batch_matches_the_simulated_fleet():
