@@ -480,8 +480,11 @@ def _run_solve_case(case: FuzzCase, res: CaseResult) -> None:
                    f"{bk.name} solution bits differ from "
                    f"{bk.bit_identical_to} (declared bit-identical)")
     if case.device == "gpu":
-        _differential_solve(case, res, solver, A, b, BACKENDS["new3d"], "gpu",
-                            machine)
+        x_gpu = _differential_solve(case, res, solver, A, b,
+                                    BACKENDS["new3d"], "gpu", machine)
+        _check(res, bool(np.array_equal(x_gpu, xs["new3d"])),
+               "new3d/gpu solution bits differ from new3d/cpu (declared "
+               "bit-identical)")
     if case.faulted:
         _faulted_solve(case, res, solver, A, b)
 

@@ -171,7 +171,9 @@ class Backend:
     # is always the implicit last tier.
     fallback: tuple[str, ...] = ()
     replayable: bool = False            # repro.replay compiles + records it
-    gpu: bool = False                   # runs under device="gpu"
+    # Runs under device="gpu", with the same solution bits as its CPU
+    # solve: the GPU dataflow sums every column in the same canonical order.
+    gpu: bool = False
     bit_identical_to: str | None = None  # same solution bits wherever both run
     plannable: Callable[[Grid3D], bool] = _multi_grid   # planner candidate?
 

@@ -10,8 +10,9 @@ dependencies or its message arrive, at most ``num_sms`` tasks compute
 concurrently per GPU, and NVSHMEM messages hop down the binary broadcast
 trees with intra-node (NVLink) or inter-node (Slingshot) latency/bandwidth.
 
-Numerics are executed for real during the simulation, so GPU solves are
-verified against the CPU solvers bit-for-bit (modulo float addition order).
+The event loop is timing only; the values come from one sweep per 2D solve
+in the CPU solver's canonical summation order, so a GPU solve is
+bit-identical to the CPU ``new3d`` solve.
 """
 
 from repro.gpu.dataflow import GpuSolveResult, run_gpu_2d_solve

@@ -17,7 +17,12 @@ kernels):
 
 At most ``num_sms`` tasks compute concurrently per GPU (the WAIT/SOLVE
 two-kernel trick means *waiting* columns do not occupy SMs, so only running
-tasks count).  Real numpy numerics run inside the tasks.
+tasks count).  A task's duration and its messages' latencies depend only
+on the plan, the machine and the width, so they are tabled once per plan
+and kept on it; the event loop carries ``(rank, column)`` and no arrays.
+The values come from one sweep over the solved columns in topological
+order, each summing its contributions in ascending producer order, so they
+do not depend on the schedule at all.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from repro.comm.costmodel import Machine, gemm_bytes, gemm_flops
 from repro.core.plan2d import Plan2D
-from repro.util import matmul_columns
+from repro.kernels import NUMERIC
 
 
 @dataclass
@@ -49,124 +54,149 @@ class GpuSolveResult:
     nvshmem_bytes: float
 
 
+def _task_table(plan2d: Plan2D, machine: Machine, nrhs: int,
+                u_solve: bool) -> dict[int, list]:
+    """Per GPU, a list indexed by column of ``(diag_s, task_s, sends,
+    nbytes)`` where the GPU has a task: the diagonal solve's duration (0.0
+    off the owner), the task's (diagonal solve, then one thread block over
+    all local blocks of the column), the ``(child, latency)`` one-sided
+    sends down the column's broadcast tree, and each message's bytes."""
+    gpu, nsup = machine.gpu, len(plan2d.diag_inv)
+    nbytes = [8 * plan2d.sn_size(J) * nrhs   # a float64 (w, nrhs) value
+              for J in range(nsup)]
+    table = {}
+    for r in plan2d.grid.grid_ranks(plan2d.z):
+        p = plan2d.plan_of(r)
+        diag = set(p.solve_cols)
+        table[r] = costs = [None] * nsup
+        for J in diag.union(p.bcast_trees):
+            w = plan2d.sn_size(J)
+            d = gpu.op_time(gemm_flops(w, nrhs, w), gemm_bytes(w, nrhs, w),
+                            u_solve=u_solve) if J in diag else 0.0
+            shapes = [blk.shape for _, blk in p.consumer_blocks.get(J, ())]
+            fl = sum(gemm_flops(m, nrhs, k) for m, k in shapes)
+            bt = sum(gemm_bytes(m, nrhs, k) for m, k in shapes)
+            tree = p.bcast_trees.get(J)
+            kids = (tree.children(r) if tree is not None and tree.contains(r)
+                    else ())
+            costs[J] = (d, d + (gpu.op_time(fl, bt, u_solve=u_solve)
+                                if fl else 0.0),
+                        tuple((c, gpu.msg_latency(nbytes[J],
+                                                  machine.same_node(r, c)))
+                              for c in kids), nbytes[J])
+    return table
+
+
+def _cached(plan2d: Plan2D, key, build):
+    """``build()`` once per plan and key, kept on the plan the way
+    ``analyze.extract.solver_schedule`` keeps schedules on the solver."""
+    cache = plan2d.__dict__.setdefault("_gpu_tables", {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 class _Solve:
-    """The event loop and task model both admission policies share; a
-    policy says when a column whose dependencies are met (:meth:`ready`)
-    gets an SM and what a finished task frees (:meth:`done`)."""
+    """The timing-only event loop both admission policies share, and the
+    numeric sweep; a policy says when a column whose dependencies are met
+    (:meth:`ready`) gets an SM and what a finished task frees
+    (:meth:`done`)."""
 
     stall = "GPU dataflow deadlock"
 
-    def __init__(self, plan2d: Plan2D, machine: Machine, rhs, nrhs: int,
+    def __init__(self, plan2d: Plan2D, machine: Machine, nrhs: int,
                  u_solve: bool, start_times: dict[int, float]):
-        self.machine, self.gpu = machine, machine.gpu
-        self.rhs, self.nrhs, self.u_solve = rhs, nrhs, u_solve
-        self.size, self.diag_inv = plan2d.sn_size, plan2d.diag_inv
+        self.plan2d, self.gpu = plan2d, machine.gpu
+        self.nrhs, self.u_solve = nrhs, u_solve
         self.ranks = ranks = plan2d.grid.grid_ranks(plan2d.z)
         self.plans = {r: plan2d.plan_of(r) for r in ranks}
-        # Contributions are buffered per (row, producer column) and summed
-        # in canonical column order at solve time (not in event-completion
-        # order, which shifts with ``nrhs``) so each solved column is
-        # bit-identical to a single-RHS solve — see
-        # ``repro.util.matmul_columns``.
-        self.contribs: dict[int, dict[int, dict[int, np.ndarray]]] = {
-            r: {} for r in ranks}
-        self.values: dict[int, dict[int, np.ndarray]] = {r: {} for r in ranks}
+        self.costs = _cached(plan2d, ("costs", machine, nrhs, u_solve),
+                             lambda: _task_table(plan2d, machine, nrhs,
+                                                 u_solve))
         self.fmod = {r: dict(self.plans[r].fmod0) for r in ranks}
         self.my_diag = {r: set(self.plans[r].solve_cols) for r in ranks}
+        self.ran: dict[int, set[int]] = {r: set() for r in ranks}
         self.start = {r: start_times.get(r, 0.0) for r in ranks}
         self.busy = {r: 0.0 for r in ranks}
         self.occupied = {r: 0.0 for r in ranks}
         self.finish = dict(self.start)
-        self.nvshmem_msgs = 0
-        self.nvshmem_bytes = 0.0
-        self.events: list = []  # (time, seq, kind, payload)
+        self.nvshmem_msgs, self.nvshmem_bytes = 0, 0.0
+        self.events: list = []  # (time, seq, arrival?, rank, column)
         self.seq = 0
 
-    def push(self, t: float, kind: str, payload) -> None:
-        heapq.heappush(self.events, (t, self.seq, kind, payload))
+    def push(self, t: float, arrival: bool, r: int, J: int) -> None:
+        heapq.heappush(self.events, (t, self.seq, arrival, r, J))
         self.seq += 1
-
-    def apply_cost(self, r: int, J: int) -> float:
-        """One thread block processes all local blocks of column J at once."""
-        fl = bt = 0.0
-        for _I, blk in self.plans[r].consumer_blocks.get(J, ()):
-            m, k = blk.shape
-            fl += gemm_flops(m, self.nrhs, k)
-            bt += gemm_bytes(m, self.nrhs, k)
-        return self.gpu.op_time(fl, bt, u_solve=self.u_solve) if fl else 0.0
-
-    def send_tree(self, t: float, r: int, J: int, val: np.ndarray) -> None:
-        """Fire one-sided sends to this GPU's children in J's bcast tree."""
-        tree = self.plans[r].bcast_trees.get(J)
-        if tree is None or not tree.contains(r):
-            return
-        for c in tree.children(r):
-            lat = self.gpu.msg_latency(val.nbytes,
-                                       self.machine.same_node(r, c))
-            self.nvshmem_msgs += 1
-            self.nvshmem_bytes += val.nbytes
-            self.push(t + lat, "arrive", (c, J, val))
 
     def run_task(self, t: float, r: int, J: int) -> None:
         """Column J's thread block computes on GPU r from time t: a diagonal
         owner solves ``value(J)`` first; everyone forwards the value down
         J's tree the moment it exists, then applies the local blocks."""
-        dur = 0.0
-        if J in self.my_diag[r]:
-            w, nrhs = self.size(J), self.nrhs
-            settled = np.zeros((w, nrhs))
-            row = self.contribs[r].pop(J, {})
-            for K in sorted(row):   # canonical column order
-                settled += row[K]
-            self.values[r][J] = matmul_columns(self.diag_inv[J],
-                                               self.rhs[r][J] - settled)
-            dur = self.gpu.op_time(gemm_flops(w, nrhs, w),
-                                   gemm_bytes(w, nrhs, w),
-                                   u_solve=self.u_solve)
-        # else the value was stored by the message event
-        self.send_tree(t + dur, r, J, self.values[r][J])
-        dur += self.apply_cost(r, J)
+        diag, dur, sends, nbytes = self.costs[r][J]
+        self.ran[r].add(J)
+        for c, lat in sends:
+            self.nvshmem_msgs += 1
+            self.nvshmem_bytes += nbytes
+            self.push(t + diag + lat, True, c, J)
         self.busy[r] += dur
-        self.push(t + dur, "done", (r, J))
+        self.push(t + dur, False, r, J)
 
-    def post_contributions(self, t: float, r: int, J: int) -> None:
-        """Apply column J's local blocks (numerics) and release new tasks."""
-        for I, blk in self.plans[r].consumer_blocks.get(J, ()):
-            row = self.contribs[r].setdefault(I, {})
-            arr = matmul_columns(blk, self.values[r][J])
-            row[J] = row[J] + arr if J in row else arr
-            self.fmod[r][I] -= 1
-            if self.fmod[r][I] == 0 and I in self.my_diag[r]:
+    def release(self, t: float, r: int, J: int) -> None:
+        """Column J's local blocks are applied: count them off their rows
+        and release the rows that are complete."""
+        fmod, mine = self.fmod[r], self.my_diag[r]
+        for I, _ in self.plans[r].consumer_blocks.get(J, ()):
+            fmod[I] -= 1
+            if fmod[I] == 0 and I in mine:
                 self.ready(t, r, I)
 
-    def run(self) -> GpuSolveResult:
+    def sweep(self, rhs) -> dict[int, np.ndarray]:
+        """The solved values, column by column in topological order
+        (ascending for L, descending for U): the owner sums the column's
+        contributions onto zeros in ascending producer order (never arrival
+        order, which shifts with ``nrhs``; see ``repro.kernels``) and
+        applies the diagonal inverse, then every GPU applies its blocks of
+        the column.  ``Py == 1`` puts each row on one GPU, so contributions
+        are keyed by row alone."""
+        order = _cached(self.plan2d, ("sweep", self.u_solve), lambda: sorted(
+            ((J, self.plan2d.sn_size(J), r) for r, p in self.plans.items()
+             for J in p.solve_cols), reverse=self.u_solve))
+        blocks = [p.consumer_blocks for p in self.plans.values()]
+        values: dict[int, np.ndarray] = {}
+        contribs: dict[int, dict[int, np.ndarray]] = {}
+        for J, w, owner in order:
+            settled = NUMERIC.accumulate(w, self.nrhs, contribs.pop(J, None))
+            values[J] = y = NUMERIC.gemm(self.plan2d.diag_inv[J],
+                                         NUMERIC.sub(rhs[owner][J], settled))
+            for local in blocks:
+                for I, blk in local.get(J, ()):
+                    contribs.setdefault(I, {})[J] = NUMERIC.gemm(blk, y)
+        return values
+
+    def run(self, rhs) -> GpuSolveResult:
         for r in self.ranks:
             for K in self.plans[r].solve_cols:
                 if self.fmod[r].get(K, 0) == 0:
                     self.ready(self.start[r], r, K)
             self.admit(self.start[r], r)
         while self.events:
-            t, _, kind, payload = heapq.heappop(self.events)
-            if kind == "arrive":
-                r, J, val = payload
-                self.values[r][J] = val
+            t, _, arrival, r, J = heapq.heappop(self.events)
+            if arrival:
                 self.ready(t, r, J)
             else:
-                r, J = payload
                 self.finish[r] = max(self.finish[r], t)
                 self.done(t, r, J)
-                self.post_contributions(t, r, J)
+                self.release(t, r, J)
                 self.admit(t, r)
-        # Sanity: every solve column must have produced a value.
+        # Sanity: every solve column must have run.
         for r in self.ranks:
-            missing = self.my_diag[r] - set(self.values[r])
+            missing = self.my_diag[r] - self.ran[r]
             if missing:  # pragma: no cover - indicates a dependency bug
                 raise RuntimeError(
                     f"{self.stall} on rank {r}: {sorted(missing)[:5]}")
-        # Strip non-diag-owned received values so callers see owner values
-        # only.
+        values = self.sweep(rhs)
         return GpuSolveResult(
-            values={r: {K: self.values[r][K] for K in self.my_diag[r]}
+            values={r: {K: values[K] for K in self.my_diag[r]}
                     for r in self.ranks},
             busy=self.busy, occupied=self.occupied, finish=self.finish,
             nvshmem_msgs=self.nvshmem_msgs, nvshmem_bytes=self.nvshmem_bytes)
@@ -284,5 +314,5 @@ def run_gpu_2d_solve(plan2d: Plan2D, machine: Machine,
     if plan2d.grid.py != 1:
         raise ValueError("GPU 2D solves require Py == 1 (see module docs)")
     policy = _TwoKernel if two_kernel else _SingleKernel
-    return policy(plan2d, machine, rhs, nrhs, u_solve,
-                  start_times or {}).run()
+    return policy(plan2d, machine, nrhs, u_solve,
+                  start_times or {}).run(rhs)

@@ -27,6 +27,7 @@ from repro.analyze import (
 )
 from repro.analyze.extract import derive_schedule
 from repro.cli import build_parser
+from repro.comm import PERLMUTTER_GPU
 from repro.core import Resilience, SpTRSVSolver
 from repro.core.backends import (
     AUTO,
@@ -86,6 +87,30 @@ def test_row_solves_or_raises_its_grid_error(A, solvers, b, grid, backend):
     if backend.bit_identical_to is not None:
         ref = solver.solve(b, algorithm=backend.bit_identical_to)
         assert np.array_equal(out.x, ref.x)
+
+
+GPU_GRIDS = [(px, 1, pz) for px in (1, 2, 4) for pz in (1, 2, 4)]
+GPU_CELLS = [pytest.param(g, bk, nrhs, id=f"{'x'.join(map(str, g))}-"
+                                           f"{bk.name}-nrhs{nrhs}")
+             for g in GPU_GRIDS for bk in BACKENDS.values()
+             if bk.gpu and bk.grid_ok(Grid3D(*g)) for nrhs in (1, 3, 16)]
+
+
+@pytest.fixture(scope="module")
+def gpu_solvers(A):
+    return {g: SpTRSVSolver(A, *g, max_supernode=8, machine=PERLMUTTER_GPU)
+            for g in GPU_GRIDS}
+
+
+@pytest.mark.parametrize("grid,backend,nrhs", GPU_CELLS)
+def test_gpu_rows_solve_bit_identically_to_the_cpu(A, gpu_solvers, grid,
+                                                   backend, nrhs):
+    """A ``gpu`` row's GPU solve and its CPU solve give the same bits on
+    every ``Py == 1`` grid and width."""
+    solver = gpu_solvers[grid]
+    b = make_rhs(A.shape[0], nrhs, kind="random", seed=nrhs)
+    gpu = solver.solve(b, algorithm=backend.name, device="gpu")
+    assert np.array_equal(gpu.x, solver.solve(b, algorithm=backend.name).x)
 
 
 @pytest.mark.parametrize("grid,backend", CELLS)
